@@ -9,6 +9,7 @@ value matrix ``phi`` and its adjoint.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -149,12 +150,20 @@ def class_function_to_json(f: ClassFunction) -> dict:
     }
 
 
-def _from_pairs(data: Sequence[Sequence[float]]) -> np.ndarray:
-    out = np.empty(len(data), dtype=complex)
-    for i, pair in enumerate(data):
-        re, im = float(pair[0]), float(pair[1])
-        out[i] = complex(re, im)
-    return out
+def _from_pairs(data: object) -> np.ndarray:
+    """Complex array from a list of ``[re, im]`` pairs of finite numbers."""
+    message = "class-function data must be a list of [re, im] pairs of numbers"
+    try:
+        pairs = np.array(data)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(message) from exc
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
+        raise ValueError(message)
+    pairs = pairs.astype(float)
+    bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
+    if len(bad):
+        raise ValueError(f"class-function data[{bad[0]}] is not finite")
+    return pairs.view(complex)[:, 0]
 
 
 def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> ClassFunction:
@@ -162,7 +171,9 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
 
     The group is resolved from its label unless a matching ``table`` is
     supplied.  Only the primary representation named by ``basis`` is trusted;
-    the other is recomputed.
+    the other is recomputed.  Data must be finite ``[re, im]`` pairs whose
+    function has a finite energy sum ``|f(x)|^2``, which bounds every
+    derivative sum; anything else raises ValueError.
     """
     try:
         label = str(obj["group"])
@@ -177,11 +188,15 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
             f"class-function JSON is for group {label!r}, not {table.group.name!r}"
         )
     payload = _from_pairs(data)
-    if basis == "coefficients":
-        return from_coefficients(table, payload)
-    if basis == "pointwise":
-        return from_values(table, payload)
-    raise ValueError(f"unknown basis {basis!r}; expected 'coefficients' or 'pointwise'")
+    if basis not in ("coefficients", "pointwise"):
+        raise ValueError(f"unknown basis {basis!r}; expected 'coefficients' or 'pointwise'")
+    build = from_coefficients if basis == "coefficients" else from_values
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = build(table, payload)
+        energy = float(np.sum(np.abs(f.values) ** 2))
+    if not math.isfinite(energy):
+        raise ValueError("class-function data overflows: its energy sum |f(x)|^2 is not finite")
+    return f
 
 
 def load_class_function(path: str) -> ClassFunction:

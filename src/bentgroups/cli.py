@@ -43,7 +43,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _require_json(args: argparse.Namespace) -> None:

@@ -477,7 +477,8 @@ def ledger_to_json(ledger: PaperLedger) -> dict:
                 "claim": entry.claim,
                 "statement": entry.statement,
                 "status": entry.status,
-                "metric": entry.metric,
+                # a check that could not produce a number has metric inf: null in JSON
+                "metric": entry.metric if math.isfinite(entry.metric) else None,
                 "detail": entry.detail,
             }
             for entry in ledger.entries

@@ -92,22 +92,40 @@ def objective(table: CharacterTable, a: Sequence[complex]) -> float:
             f"expected {table.n_irreps} coefficients for {table.group.name}, "
             f"got shape {a.shape}"
         )
-    return float(_objective_batch(table, a[None, :])[0])
+    return _probe_objective(table, _shifts(table), a)
 
 
-def _objective_batch(table: CharacterTable, batch: np.ndarray) -> np.ndarray:
+def _shifts(table: CharacterTable) -> np.ndarray:
+    """Cayley rows of every non-identity direction, one gather index for all."""
     group = table.group
-    n = group.order
-    values = batch @ table.phi.T
-    gaps = np.max(np.abs(np.abs(values) - 1.0), axis=1)
-    max_residual = np.zeros(len(batch))
-    conj_values = np.conj(values)
-    for sigma in range(n):
-        if sigma == group.identity:
-            continue
-        d = np.sum(conj_values * values[:, group.cayley[sigma]], axis=1)
-        max_residual = np.maximum(max_residual, np.abs(d))
-    return max_residual / n + gaps
+    return group.cayley[np.arange(group.order) != group.identity]
+
+
+def _probe_objective(table: CharacterTable, shifts: np.ndarray, a: np.ndarray) -> float:
+    """Objective of one candidate from its brute-force derivative sums.
+
+    The refinement's golden-section trajectory depends on these exact floats,
+    so the arithmetic is that of a per-direction loop: each sum runs over the
+    contiguous last axis of one gathered array.
+    """
+    values = a[None, :] @ table.phi.T
+    gap = np.abs(np.abs(values) - 1.0).max()
+    sums = (values.conj() * values[0, shifts]).sum(axis=-1)
+    return float(np.abs(sums).max(initial=0.0) / table.group.order + gap)
+
+
+def _batch_objective(table: CharacterTable, batch: np.ndarray) -> np.ndarray:
+    """Objectives of a batch from the closed-form derivative sums.
+
+    Generalized orthogonality gives D(sigma) = n * sum_i |a_i|^2 chi_i(sigma)/d_i,
+    so both terms need only the r class values: O(B r^2) rather than O(B n^2).
+    Class 0 is the identity class and is left out of the residual.
+    """
+    class_values = table.class_values
+    gaps = np.max(np.abs(np.abs(batch @ class_values) - 1.0), axis=1)
+    weights = np.abs(batch) ** 2 / np.asarray(table.degrees)
+    residuals = np.max(np.abs(weights @ class_values[:, 1:]), axis=1, initial=0.0)
+    return residuals + gaps
 
 
 def _seed_candidates(table: CharacterTable) -> list[np.ndarray]:
@@ -160,10 +178,12 @@ class _Transcript:
 
     def __init__(self, table: CharacterTable, budget: int, tol: float):
         self.table = table
+        self.shifts = _shifts(table)
         self.budget = budget
         self.tol = tol
         self.evaluations = 0
-        self.values: list[float] = []
+        self.batch_values: list[np.ndarray] = []
+        self.probe_values: list[float] = []
         self.best_objective = math.inf
         self.best_coefficients: np.ndarray | None = None
 
@@ -175,22 +195,27 @@ class _Transcript:
     def done(self) -> bool:
         return self.evaluations >= self.budget or self.best_objective <= self.tol
 
+    def histogram(self) -> tuple[float, ...]:
+        """The 0%, 10%, ..., 100% quantiles of every evaluated objective."""
+        values = np.concatenate([*self.batch_values, np.asarray(self.probe_values)])
+        return tuple(np.quantile(values, np.linspace(0, 1, 11)).tolist())
+
     def record_batch(self, batch: np.ndarray) -> None:
         batch = batch[: self.remaining]
         if not len(batch):
             return
-        objs = _objective_batch(self.table, batch)
+        objs = _batch_objective(self.table, batch)
         self.evaluations += len(batch)
-        self.values.extend(float(v) for v in objs)
+        self.batch_values.append(objs)
         idx = int(np.argmin(objs))
         if objs[idx] < self.best_objective:
             self.best_objective = float(objs[idx])
             self.best_coefficients = batch[idx].copy()
 
     def evaluate(self, a: np.ndarray) -> float:
-        obj = float(_objective_batch(self.table, a[None, :])[0])
+        obj = _probe_objective(self.table, self.shifts, a)
         self.evaluations += 1
-        self.values.append(obj)
+        self.probe_values.append(obj)
         if obj < self.best_objective:
             self.best_objective = obj
             self.best_coefficients = a.copy()
@@ -304,9 +329,6 @@ def run_search(config: SearchConfig) -> SearchResult:
         certified = report.verdict == BENT
         if not certified:
             report = None
-    histogram = tuple(
-        float(q) for q in np.quantile(np.asarray(transcript.values), np.linspace(0, 1, 11))
-    )
     best_coefficients.setflags(write=False)
     return SearchResult(
         config=config,
@@ -314,7 +336,7 @@ def run_search(config: SearchConfig) -> SearchResult:
         best_coefficients=best_coefficients,
         certified_bent=certified,
         evaluations=transcript.evaluations,
-        histogram=histogram,
+        histogram=transcript.histogram(),
         report=report,
     )
 

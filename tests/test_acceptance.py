@@ -44,6 +44,10 @@ from bentgroups.cli import main as cli_main
 # Frozen evidence floor for the pinned S3 search (budget 100000, seed 0,
 # strategy random+local), recorded from the first pinned run of this suite.
 S3_SEARCH_FLOOR = 0.28831509904574804
+# The same pinned search on the 5-class groups; both stall at the same value.
+# These guard the refinement's probe arithmetic, which sets the trajectory.
+Q8_SEARCH_FLOOR = 0.49771340012704934
+D4_SEARCH_FLOOR = 0.4977134001270491
 
 W3 = cmath.exp(2j * math.pi / 3)
 
@@ -186,6 +190,17 @@ def test_acceptance_6b_s3_search_regression():
     assert not result.certified_bent
     assert result.best_objective > 1e-3
     assert result.best_objective == pytest.approx(S3_SEARCH_FLOOR, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "label, floor", [("Q8", Q8_SEARCH_FLOOR), ("D4", D4_SEARCH_FLOOR)]
+)
+def test_acceptance_6c_five_class_search_regression(label, floor):
+    result = run_search(
+        SearchConfig(group=label, budget=100_000, seed=0, strategy="random+local")
+    )
+    assert not result.certified_bent
+    assert result.best_objective == pytest.approx(floor, rel=1e-9)
 
 
 def test_acceptance_7_q8_magnitude_system():

@@ -92,6 +92,26 @@ def test_check_truncated_json(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        5,
+        [[1], [0, 0], [0, 0]],
+        [[float("nan"), 0.0], [0.5, 0.0], [0.5, 0.0]],
+        [[1e308, 1e308]] * 3,
+    ],
+    ids=["int", "ragged", "nan", "1e308"],
+)
+def test_check_malformed_data_exits_2(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"group": "Z3", "basis": "coefficients", "data": data}))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "/nonexistent/f.json")
     assert code == 2
@@ -158,6 +178,17 @@ def test_verify_paper_absurd_tolerance_fails(capsys):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert payload["summary"]["FAIL"] > 0
+
+
+def test_verify_paper_failure_output_is_strict_json(capsys):
+    code, out, _ = run_cli(capsys, "verify-paper", "--budget", "0", "--tol", "1e-30")
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in JSON output")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert any(e["metric"] is None for e in payload["entries"])
 
 
 def test_verify_paper_budget_zero_skips_searches(capsys):

@@ -20,6 +20,29 @@ from bentgroups import (
     result_to_json,
     run_search,
 )
+from bentgroups.bentness import derivative_sums
+from bentgroups.search import _batch_objective, _probe_objective, _shifts
+
+ORACLE_GROUPS = ["Z1", "Z2", "Z6", "Z12", "Z2xZ4", "V4", "S3", "Q8", "D4"]
+
+
+def _random_unit_energy(rng, size, r):
+    mags = rng.dirichlet(np.ones(r), size=size)
+    return np.sqrt(mags) * np.exp(2j * np.pi * rng.random((size, r)))
+
+
+def _loop_objective(table, a):
+    """Per-direction loop over sigma: the arithmetic the probe scorer keeps."""
+    group = table.group
+    values = a[None, :] @ table.phi.T
+    gap = np.max(np.abs(np.abs(values) - 1.0), axis=1)
+    max_residual = np.zeros(1)
+    for sigma in range(group.order):
+        if sigma == group.identity:
+            continue
+        d = np.sum(np.conj(values) * values[:, group.cayley[sigma]], axis=1)
+        max_residual = np.maximum(max_residual, np.abs(d))
+    return float((max_residual / group.order + gap)[0])
 
 
 def test_config_validation():
@@ -144,3 +167,28 @@ def test_result_json_layout():
     assert len(obj["best_coefficients"]) == 4
     not_found = run_search(SearchConfig(group="S3", budget=50, seed=0))
     assert result_to_json(not_found)["report"] is None
+
+
+@pytest.mark.parametrize("label", ORACLE_GROUPS)
+def test_batch_scorer_matches_derivative_sum_oracle(label):
+    table = character_table(group_from_label(label))
+    n = table.group.order
+    rng = np.random.default_rng(sum(map(ord, label)))
+    batch = _random_unit_energy(rng, 64, table.n_irreps)
+    expected = []
+    for a in batch:
+        f = from_coefficients(table, a)
+        residuals = np.delete(derivative_sums(f), table.group.identity)
+        gap = np.max(np.abs(np.abs(f.values) - 1.0))
+        expected.append(np.max(np.abs(residuals), initial=0.0) / n + gap)
+    np.testing.assert_allclose(_batch_objective(table, batch), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("label", ORACLE_GROUPS)
+def test_probe_scorer_is_bit_identical_to_sigma_loop(label):
+    table = character_table(group_from_label(label))
+    shifts = _shifts(table)
+    rng = np.random.default_rng(sum(map(ord, label)))
+    for a in _random_unit_energy(rng, 64, table.n_irreps):
+        assert _probe_objective(table, shifts, a) == _loop_objective(table, a)
+        assert objective(table, a) == _loop_objective(table, a)
