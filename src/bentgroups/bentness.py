@@ -42,9 +42,9 @@ class BentReport:
     direction, in ascending element index (exactly ``order - 1`` entries).
     The verdict is BENT when the function is unimodular within ``tol`` and
     ``max_residual <= order * tol``; the derivative sum at the identity always
-    equals the total energy and never enters the verdict.  For nonabelian
-    groups the right-translate residuals are reported alongside; the verdict
-    uses the left-translate residuals.
+    equals the total energy and never enters the verdict.  Right translates
+    need no separate check: a class function has ``f(x sigma) = f(sigma x)``,
+    so they give the same sums.
     """
 
     group: str
@@ -53,8 +53,6 @@ class BentReport:
     max_residual: float
     unimodular_deviation: float
     tol: float
-    residuals_right: np.ndarray | None = None
-    max_residual_right: float | None = None
 
     def __repr__(self) -> str:
         return (
@@ -76,15 +74,9 @@ def derivative_sum(f: ClassFunction, sigma: int) -> complex:
     return complex(np.sum(np.conj(f.values) * shifted))
 
 
-def derivative_sums(f: ClassFunction, right: bool = False) -> np.ndarray:
-    """Derivative sums along every direction, identity included.
-
-    With ``right=True`` the translate acts on the right: the x-term becomes
-    conj(f(x)) * f(x sigma).
-    """
-    cayley = f.group.cayley
-    shifted = f.values[cayley.T] if right else f.values[cayley]
-    return shifted @ np.conj(f.values)
+def derivative_sums(f: ClassFunction) -> np.ndarray:
+    """Derivative sums along every direction, identity included."""
+    return f.values[f.group.cayley] @ np.conj(f.values)
 
 
 def is_bent(f: ClassFunction, tol: float = 1e-8) -> BentReport:
@@ -101,12 +93,6 @@ def is_bent(f: ClassFunction, tol: float = 1e-8) -> BentReport:
         verdict = BENT
     else:
         verdict = NOT_BENT
-    residuals_right = None
-    max_right = None
-    if not group.is_abelian:
-        residuals_right = derivative_sums(f, right=True)[mask]
-        residuals_right.setflags(write=False)
-        max_right = float(np.max(np.abs(residuals_right))) if n > 1 else 0.0
     residuals.setflags(write=False)
     return BentReport(
         group=group.name,
@@ -115,8 +101,6 @@ def is_bent(f: ClassFunction, tol: float = 1e-8) -> BentReport:
         max_residual=max_residual,
         unimodular_deviation=deviation,
         tol=tol,
-        residuals_right=residuals_right,
-        max_residual_right=max_right,
     )
 
 
@@ -144,7 +128,7 @@ def is_bent_spectral(f: ClassFunction, tol: float = 1e-8) -> bool:
 
 
 def report_to_json(report: BentReport) -> dict:
-    out = {
+    return {
         "group": report.group,
         "verdict": report.verdict,
         "max_residual": report.max_residual,
@@ -152,9 +136,3 @@ def report_to_json(report: BentReport) -> dict:
         "tol": report.tol,
         "residuals": [[float(z.real), float(z.imag)] for z in report.residuals],
     }
-    if report.residuals_right is not None:
-        out["residuals_right"] = [
-            [float(z.real), float(z.imag)] for z in report.residuals_right
-        ]
-        out["max_residual_right"] = report.max_residual_right
-    return out

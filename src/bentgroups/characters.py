@@ -18,6 +18,7 @@ reference tables and emitted in the reference row order.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -254,8 +255,12 @@ def _validate_row_orthogonality(group: Group, class_values: np.ndarray) -> None:
         raise ValueError(f"character table failed orthogonality validation ({dev:.3e})")
 
 
+@functools.lru_cache(maxsize=128)
 def character_table(group: Group) -> CharacterTable:
     """Compute and validate the irreducible character table of ``group``.
+
+    Memoized per group instance (groups compare by identity); the returned
+    table and its arrays are read-only, so callers share it.
 
     Raises
     ------

@@ -136,7 +136,8 @@ def cyclic_lag_sums(a: Sequence[complex]) -> np.ndarray:
     if a.ndim != 1 or len(a) < 2:
         raise ValueError(f"expected a coefficient vector of length >= 2, got shape {a.shape}")
     n = len(a)
-    return np.array([np.sum(np.conj(a) * np.roll(a, -k)) for k in range(1, n // 2 + 1)])
+    lags = np.arange(1, n // 2 + 1)
+    return (np.conj(a) * a[(np.arange(n) + lags[:, None]) % n]).sum(axis=-1)
 
 
 def cyclic_criterion(a: Sequence[complex], tol: float = DEFAULT_TOL) -> CriterionOutcome:
@@ -150,12 +151,14 @@ def cyclic_criterion(a: Sequence[complex], tol: float = DEFAULT_TOL) -> Criterio
     if a.ndim != 1 or len(a) < 2:
         raise ValueError(f"expected a coefficient vector of length >= 2, got shape {a.shape}")
     n = len(a)
-    target = 1.0 / math.sqrt(n)
-    checks = [(f"|a_{i + 1}|", abs(abs(a[i]) - target)) for i in range(n)]
-    checks.extend(
-        (f"lag-{k} sum", abs(complex(s)))
-        for k, s in enumerate(cyclic_lag_sums(a), start=1)
-    )
+    values = np.concatenate((a, cyclic_lag_sums(a)))
+    # n magnitude checks, then the lag sums; hypot rounds exactly like abs()
+    residuals = np.hypot(values.real, values.imag)
+    residuals[:n] = np.abs(residuals[:n] - 1.0 / math.sqrt(n))
+    checks = [
+        (f"|a_{j + 1}|" if j < n else f"lag-{j - n + 1} sum", residuals[j])
+        for j in np.flatnonzero(residuals > tol)
+    ]
     return _finalize("cyclic-bent", checks, tol)
 
 

@@ -4,11 +4,13 @@ Every group in this package is a table: element ``i`` times element ``j``
 is ``cayley[i, j]``.  Constructors validate the full set of group axioms
 (closure, identity, two-sided inverses, associativity) and precompute the
 conjugacy-class partition, so downstream modules can index into arrays
-without re-deriving structure.
+without re-deriving structure.  Groups are frozen with read-only arrays, so
+the constructors memoize them and callers share one instance per label.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -44,6 +46,9 @@ MAX_ORDER = 512
 _EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 32
 _SAMPLED_TRIPLES = 10_000
 _ASSOCIATIVITY_SEED = 20351
+
+#: Bound on each constructor's memo; built groups are read-only and shared.
+_CACHE_SIZE = 128
 
 CATALOG = ("S3", "Q8", "V4", "D4")
 
@@ -95,15 +100,19 @@ class Group:
 
     @property
     def is_abelian(self) -> bool:
-        return all(size == 1 for size in self.class_sizes)
+        return len(self.class_sizes) == self.order
 
     @property
     def exponent(self) -> int:
         """Least common multiple of the element orders."""
-        out = 1
-        for x in range(self.order):
-            out = math.lcm(out, element_order(self, x))
-        return out
+        if self.abelian_factors is not None:
+            return math.lcm(*self.abelian_factors)
+        # the exponent is the least m with x^m = e for every x at once
+        x = np.arange(self.order)
+        power, m = x, 1
+        while (power != self.identity).any():
+            power, m = self.cayley[power, x], m + 1
+        return m
 
     def __repr__(self) -> str:  # keep array dumps out of test output
         return f"Group(name={self.name!r}, order={self.order})"
@@ -126,22 +135,23 @@ def _check_cayley(cayley: np.ndarray) -> None:
 
 
 def _find_identity(cayley: np.ndarray) -> int:
-    n = cayley.shape[0]
-    idx = np.arange(n)
-    hits = [e for e in range(n) if np.array_equal(cayley[e], idx) and np.array_equal(cayley[:, e], idx)]
+    idx = np.arange(cayley.shape[0])
+    left = (cayley == idx[None, :]).all(axis=1)  # row e is the identity map
+    right = (cayley == idx[:, None]).all(axis=0)  # column e is the identity map
+    hits = np.flatnonzero(left & right)
     if len(hits) != 1:
         raise ValueError(f"expected exactly one two-sided identity, found {len(hits)}")
-    return hits[0]
+    return int(hits[0])
 
 
 def _find_inverses(cayley: np.ndarray, identity: int) -> np.ndarray:
-    n = cayley.shape[0]
-    inv = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        right = np.flatnonzero(cayley[i] == identity)
-        if len(right) != 1 or cayley[right[0], i] != identity:
-            raise ValueError(f"element {i} has no unique two-sided inverse")
-        inv[i] = right[0]
+    is_identity = cayley == identity
+    inv = is_identity.argmax(axis=1)  # first right inverse of each element
+    unique = is_identity.sum(axis=1) == 1
+    two_sided = cayley[inv, np.arange(cayley.shape[0])] == identity
+    bad = np.flatnonzero(~(unique & two_sided))
+    if len(bad):
+        raise ValueError(f"element {bad[0]} has no unique two-sided inverse")
     return inv
 
 
@@ -165,24 +175,17 @@ def _check_associativity(cayley: np.ndarray) -> None:
 def _conjugacy_partition(
     cayley: np.ndarray, inverses: np.ndarray, identity: int
 ) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    n = cayley.shape[0]
-    class_of = np.full(n, -1, dtype=np.int64)
-    orbits: list[np.ndarray] = []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        orbit = np.unique(cayley[cayley[:, x], inverses])
-        orbits.append(orbit)
-        class_of[orbit] = len(orbits) - 1
-    # identity class first, the rest already appear by smallest member
-    order = sorted(range(len(orbits)), key=lambda c: (orbits[c][0] != identity, orbits[c][0]))
-    relabel = np.empty(len(orbits), dtype=np.int64)
-    relabel[order] = np.arange(len(orbits))
-    class_of = relabel[class_of]
-    orbits = [orbits[c] for c in order]
-    reps = tuple(int(orbit[0]) for orbit in orbits)
-    sizes = tuple(int(len(orbit)) for orbit in orbits)
-    return class_of, reps, sizes
+    # conjugates[t, x] = t x t^-1, so each column's minimum is the smallest
+    # member of x's class
+    smallest = cayley[cayley, inverses[:, None]].min(axis=0)
+    reps = np.unique(smallest)
+    # identity class first, the rest by smallest member
+    reps = np.concatenate(([identity], reps[reps != identity]))
+    relabel = np.empty(cayley.shape[0], dtype=np.int64)
+    relabel[reps] = np.arange(len(reps))
+    class_of = relabel[smallest]
+    sizes = np.bincount(class_of, minlength=len(reps))
+    return class_of, tuple(reps.tolist()), tuple(sizes.tolist())
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -225,8 +228,9 @@ def _build_group(
 # constructors
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def make_cyclic(n: int) -> Group:
-    """Cyclic group Z_n with elements 0..n-1 under addition mod n."""
+    """Cyclic group Z_n with elements 0..n-1 under addition mod n (memoized)."""
     if n < 1:
         raise ValueError(f"cyclic group order must be positive, got {n}")
     if n > MAX_ORDER:
@@ -241,9 +245,13 @@ def make_abelian(factors: Iterable[int]) -> Group:
 
     The element with mixed-radix digits ``(t_1, .., t_k)`` over the factor
     sizes gets index ``sum(t_f * stride_f)`` where the last factor varies
-    fastest.
+    fastest.  Memoized by the factor tuple.
     """
-    factors = tuple(int(m) for m in factors)
+    return _make_abelian(tuple(int(m) for m in factors))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _make_abelian(factors: tuple[int, ...]) -> Group:
     if not factors:
         raise ValueError("at least one cyclic factor is required")
     if any(m < 1 for m in factors):
@@ -251,26 +259,11 @@ def make_abelian(factors: Iterable[int]) -> Group:
     n = math.prod(factors)
     if n > MAX_ORDER:
         raise CapabilityError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
-    idx = np.arange(n)
-    cayley = np.zeros((n, n), dtype=np.int64)
-    rem_x, rem_y = idx.copy(), idx.copy()
-    digits_x, digits_y = [], []
-    for m in reversed(factors):
-        digits_x.append(rem_x % m)
-        digits_y.append(rem_y % m)
-        rem_x //= m
-        rem_y //= m
-    stride = 1
-    for m, dx, dy in zip(reversed(factors), digits_x, digits_y):
-        cayley += ((dx[:, None] + dy[None, :]) % m) * stride
-        stride *= m
-    names = []
-    for x in range(n):
-        rem, digits = x, []
-        for m in reversed(factors):
-            digits.append(rem % m)
-            rem //= m
-        names.append("(" + ",".join(str(d) for d in reversed(digits)) + ")")
+    digits = np.unravel_index(np.arange(n), factors)  # row-major mixed radix
+    cayley = np.ravel_multi_index(
+        tuple((d[:, None] + d[None, :]) % m for d, m in zip(digits, factors)), factors
+    )
+    names = ["(" + ",".join(map(str, ds)) + ")" for ds in zip(*digits)]
     label = "x".join(f"Z{m}" for m in factors)
     return _build_group(label, cayley, element_names=names, abelian_factors=factors)
 
@@ -330,8 +323,9 @@ def _make_d4() -> Group:
     return _build_group("D4", cayley, element_names=names)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def make_named(name: str) -> Group:
-    """One of the built-in nonabelian/Klein groups: S3, Q8, V4, D4."""
+    """One of the built-in nonabelian/Klein groups: S3, Q8, V4, D4 (memoized)."""
     key = name.upper()
     if key == "S3":
         return _make_s3()

@@ -28,6 +28,18 @@ def brute_derivative_sums(cayley, values) -> list[complex]:
     return out
 
 
+def brute_right_sums(cayley, values) -> list[complex]:
+    """sum_x conj(f(x)) f(x sigma), the right-translate sums, with Python loops."""
+    n = len(values)
+    out = []
+    for sigma in range(n):
+        total = 0j
+        for x in range(n):
+            total += complex(values[x]).conjugate() * complex(values[cayley[x][sigma]])
+        out.append(total)
+    return out
+
+
 def brute_lag_sums(a) -> list[complex]:
     """sum_i conj(a_i) a_{i+k mod n} for k = 1..floor(n/2), with Python loops."""
     n = len(a)

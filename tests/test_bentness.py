@@ -29,7 +29,7 @@ from bentgroups import (
     spectrum,
 )
 
-from conftest import brute_derivative_sums, brute_spectrum, unit_phases
+from conftest import brute_derivative_sums, brute_right_sums, brute_spectrum, unit_phases
 
 W3 = cmath.exp(2j * math.pi / 3)
 
@@ -159,19 +159,21 @@ def test_spectrum_rejects_nonabelian(s3_table):
         spectrum(f)
 
 
-def test_right_translate_residuals_only_for_nonabelian(z4_table, s3_table):
-    f_ab = from_coefficients(z4_table, np.array([0, 1.0, 0, 0]))
-    rep_ab = is_bent(f_ab)
-    assert rep_ab.residuals_right is None
-    f_s3 = from_coefficients(s3_table, np.array([1.0, 1.0, 1.0]) / math.sqrt(3))
-    rep_s3 = is_bent(f_s3)
-    assert rep_s3.residuals_right is not None
-    assert len(rep_s3.residuals_right) == 5
-    # class functions have conjugation-invariant values, so left and right
-    # residual magnitudes coincide direction-by-direction up to reindexing
-    left = np.sort(np.abs(rep_s3.residuals))
-    right = np.sort(np.abs(rep_s3.residuals_right))
-    np.testing.assert_allclose(left, right, atol=1e-12)
+@pytest.mark.parametrize("label", ["S3", "Q8", "D4", "V4", "Z6"])
+def test_right_sums_equal_left_sums_and_closed_form(label):
+    """f(x sigma) = f(sigma x) for a class function, so right sums need no check."""
+    table = character_table(group_from_label(label))
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal(table.n_irreps) + 1j * rng.standard_normal(table.n_irreps)
+    f = from_coefficients(table, a / np.linalg.norm(a))
+    cayley = table.group.cayley.tolist()
+    right = brute_right_sums(cayley, f.values)
+    left = brute_derivative_sums(cayley, f.values)
+    closed = table.group.order * table.phi @ (
+        np.abs(f.coefficients) ** 2 / np.asarray(table.degrees)
+    )
+    np.testing.assert_allclose(right, left, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(right, closed, rtol=0, atol=1e-12)
 
 
 def test_report_json_layout(z3_table, s3_table):
@@ -180,8 +182,5 @@ def test_report_json_layout(z3_table, s3_table):
     assert obj["group"] == "Z3"
     assert obj["verdict"] == NOT_BENT
     assert len(obj["residuals"]) == 2
-    assert "residuals_right" not in obj
-    rep2 = is_bent(from_coefficients(s3_table, np.array([1.0, 0, 0])))
-    obj2 = report_to_json(rep2)
-    assert "residuals_right" in obj2
-    assert obj2["max_residual_right"] == pytest.approx(obj2["max_residual"], abs=1e-12)
+    obj2 = report_to_json(is_bent(from_coefficients(s3_table, np.array([1.0, 0, 0]))))
+    assert set(obj2) == set(obj)

@@ -90,6 +90,37 @@ def test_lag_sums_match_brute_force():
         assert len(cyclic_lag_sums(a)) == n // 2
 
 
+def roll_lag_sums(a: np.ndarray) -> np.ndarray:
+    """The per-lag np.roll reference that cyclic_lag_sums must reproduce bit for bit."""
+    return np.array([np.sum(np.conj(a) * np.roll(a, -k)) for k in range(1, len(a) // 2 + 1)])
+
+
+def loop_cyclic_violations(a: np.ndarray, tol: float) -> list[tuple[str, float]]:
+    """cyclic_criterion's violations built one check per element and per lag."""
+    n = len(a)
+    checks = [(f"|a_{i + 1}|", abs(abs(a[i]) - 1.0 / math.sqrt(n))) for i in range(n)]
+    checks.extend((f"lag-{k} sum", abs(complex(s))) for k, s in enumerate(roll_lag_sums(a), 1))
+    return [(label, float(res)) for label, res in checks if res > tol]
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 509, 512])
+def test_lag_sums_bit_identical_to_roll_loop(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.array_equal(cyclic_lag_sums(a), roll_lag_sums(a))
+
+
+def test_cyclic_criterion_matches_loop_reference():
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 4, 7, 12, 64, 509):
+        bent = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function
+        for a in (flat_random_coefficients(rng, n), rng.standard_normal(n), bent.coefficients):
+            outcome = cyclic_criterion(a)
+            expected = loop_cyclic_violations(np.asarray(a, dtype=complex), outcome.tol)
+            assert list(outcome.violations) == expected
+            assert outcome.satisfied == (not expected)
+
+
 def test_z3_closed_form_condition():
     rng = np.random.default_rng(31)
     a = flat_random_coefficients(rng, 3)
