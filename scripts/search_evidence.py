@@ -3,9 +3,8 @@
 
 Runs the seeded coefficient-space search on each target group over several
 seeds and writes one JSON summary.  Cyclic groups and V4 certify instantly
-from constructed candidates; S3 never certifies (a certificate proves
-impossibility), and Q8/D4 are open targets where only the best residual is
-reported.
+from constructed candidates; S3, Q8 and D4 never certify (their forced
+magnitudes admit no bent function), so only the best residual is reported.
 
 Example:
     python3 scripts/search_evidence.py --budget 50000 --seeds 0 1 2 -o evidence.json

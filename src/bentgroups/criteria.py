@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .characters import CharacterTable, character_table
-from .errors import CapabilityError
 from .groups import make_named
 
 __all__ = [
@@ -58,13 +57,12 @@ class CriterionOutcome:
 class S3Certificate:
     """Impossibility certificate for bent class functions on S3.
 
-    The forced magnitudes and cross term are obtained by solving the
-    magnitude system assembled from the derivative-sum expansions along a
-    transposition and a 3-cycle plus the unit-energy row; ``contradiction``
+    The forced magnitudes come from :func:`solve_magnitude_system`, the cross
+    term from unimodularity on the transposition class; ``contradiction``
     records that the forced cross term exceeds its Cauchy-Schwarz bound
     (cs_lhs > cs_rhs), so no coefficient vector satisfies all constraints.
-    ``solve_residual`` bounds every numeric step (cross-term cancellation in
-    the expansions, linear-system residual, imaginary leakage).
+    ``solve_residual`` bounds the numeric steps (linear-system residual plus
+    the imaginary leakage of the magnitudes).
     """
 
     magnitudes: tuple[float, float, float]
@@ -83,7 +81,7 @@ def _finalize(name: str, checks: list[tuple[str, float]], tol: float) -> Criteri
 
 
 # ---------------------------------------------------------------------------
-# abelian necessary condition and the Phi w = y path
+# abelian necessary condition and the magnitude system
 
 
 def abelian_magnitude_necessary(
@@ -103,27 +101,28 @@ def abelian_magnitude_necessary(
 def solve_magnitude_system(
     table: CharacterTable, y: Sequence[complex] | None = None
 ) -> tuple[np.ndarray, float]:
-    """Solve Phi w = y for abelian groups via the exact inverse conj(Phi)^T / n.
+    """Solve sum_i m_i chi_i(x) / d_i = y(x) for the magnitudes m, on any group.
 
-    ``y`` defaults to the autocorrelation profile of a bent function,
-    (1, 0, ..., 0), for which the solution is the flat vector w_i = 1/n.
-    Returns (w, max residual of Phi w - y).
+    By generalized orthogonality the derivative sums of f = sum_i a_i chi_i
+    are D(x) = n * sum_i |a_i|^2 chi_i(x) / d_i, so with m_i = |a_i|^2 this is
+    the system D / n = y.  Row orthogonality inverts it exactly:
+    m = d * conj(Phi)^T y / n.  ``y`` defaults to the profile of a bent
+    function, 1 at the identity and 0 elsewhere, whose solution is the forced
+    magnitudes m_i = d_i^2 / n (1/n on abelian groups).
+    Returns (m, max residual of Phi (m / d) - y).
     """
     group = table.group
-    if not group.is_abelian:
-        raise CapabilityError(
-            f"the Phi system is square only for abelian groups, not {group.name!r}"
-        )
     n = group.order
     if y is None:
         y = np.zeros(n, dtype=complex)
-        y[0] = 1.0
+        y[group.identity] = 1.0
     y = np.asarray(y, dtype=complex)
     if y.shape != (n,):
         raise ValueError(f"expected a length-{n} right-hand side, got shape {y.shape}")
-    w = np.conj(table.phi.T) @ y / n
-    residual = float(np.max(np.abs(table.phi @ w - y)))
-    return w, residual
+    d = np.asarray(table.degrees, dtype=float)
+    m = d * (np.conj(table.phi.T) @ y) / n
+    residual = float(np.max(np.abs(table.phi @ (m / d) - y)))
+    return m, residual
 
 
 # ---------------------------------------------------------------------------
@@ -250,55 +249,22 @@ def q8_necessary(a: Sequence[complex], tol: float = DEFAULT_TOL) -> CriterionOut
 # S3 impossibility certificate
 
 
-#: Term lists for the two derivative-sum expansions on S3, as displayed:
-#: each entry is (multiplicity, p, q) contributing mult * conj(t_p) * t_q,
-#: where t_c is the function value on conjugacy class c (identity,
-#: transpositions, 3-cycles).
-_S3_TRANSPOSITION_TERMS = ((1, 0, 1), (1, 1, 0), (2, 1, 2), (2, 2, 1))
-_S3_THREE_CYCLE_TERMS = ((1, 0, 2), (1, 2, 0), (3, 1, 1), (1, 2, 2))
-
-
-def _expansion_matrix(table: CharacterTable, terms) -> np.ndarray:
-    """Hermitian form M with a^H M a = sum of mult * conj(t_p) t_q.
-
-    The class-value rows l_c (t_c = l_c . a) come from the implemented
-    character table, so the resulting magnitude rows are derived, not typed
-    in.
-    """
-    rows = [table.class_values[:, c] for c in range(table.group.n_classes)]
-    m = np.zeros((table.n_irreps, table.n_irreps), dtype=complex)
-    for mult, p, q in terms:
-        m += mult * np.outer(np.conj(rows[p]), rows[q])
-    return m
-
-
 def s3_certificate(tol: float = DEFAULT_TOL) -> S3Certificate:
-    """Derive the S3 impossibility certificate from the implemented expansions.
+    """Derive the S3 impossibility certificate from the closed form.
 
-    Both quadratic forms must reduce to pure magnitude combinations (their
-    cross terms cancel); the resulting 3x3 system plus unit energy forces the
-    magnitudes, the unimodularity of the value on transpositions forces the
-    cross term, and the Cauchy-Schwarz bound is then violated.
+    The magnitude system forces (1/6, 1/6, 2/3), the unimodularity of the
+    value on transpositions forces the cross term, and the Cauchy-Schwarz
+    bound is then violated.
     """
-    table = character_table(make_named("S3"))
-    worst = 0.0
-    rows = []
-    for terms in (_S3_TRANSPOSITION_TERMS, _S3_THREE_CYCLE_TERMS):
-        m = _expansion_matrix(table, terms)
-        off_diag = m - np.diag(np.diag(m))
-        worst = max(worst, float(np.max(np.abs(off_diag))))
-        worst = max(worst, float(np.max(np.abs(np.diag(m).imag))))
-        rows.append(np.diag(m).real)
-    system = np.vstack([rows[0], rows[1], np.ones(3)])
-    rhs = np.array([0.0, 0.0, 1.0])
-    magnitudes = np.linalg.solve(system, rhs)
-    worst = max(worst, float(np.max(np.abs(system @ magnitudes - rhs))))
+    m, residual = solve_magnitude_system(character_table(make_named("S3")))
+    worst = residual + float(np.max(np.abs(m.imag)))
     if worst > tol:
         raise RuntimeError(
             f"magnitude derivation residual {worst:.3e} exceeds tolerance {tol:.0e}"
         )
-    # |f| = 1 on the transposition class forces the cross term:
-    # |a_1 - a_2|^2 = m_1 + m_2 - cross = 1.
+    magnitudes = m.real
+    # the value on transpositions is a_1 - a_2, so |f| = 1 there forces the
+    # cross term: |a_1 - a_2|^2 = m_1 + m_2 - cross = 1.
     cross = float(magnitudes[0] + magnitudes[1] - 1.0)
     cs_lhs = abs(cross)
     cs_rhs = 2.0 * math.sqrt(magnitudes[0] * magnitudes[1])

@@ -10,7 +10,6 @@ import pytest
 from bentgroups import (
     BENT,
     NOT_UNIMODULAR,
-    CapabilityError,
     SequenceKind,
     SequenceSpec,
     abelian_magnitude_necessary,
@@ -18,7 +17,11 @@ from bentgroups import (
     character_table,
     cyclic_criterion,
     cyclic_lag_sums,
+    derivative_sums,
     from_coefficients,
+    group_from_json,
+    group_from_label,
+    group_to_json,
     is_bent,
     klein_criterion,
     make_bent_cyclic,
@@ -73,9 +76,70 @@ def test_magnitude_system_custom_rhs(z4_table):
     np.testing.assert_allclose(z4_table.phi @ w, y, atol=1e-12)
 
 
-def test_magnitude_system_rejects_nonabelian(s3_table):
-    with pytest.raises(CapabilityError):
-        solve_magnitude_system(s3_table)
+def abelian_inverse_solve(table, y=None):
+    """The abelian-only solver m = conj(Phi)^T y / n that the general one extends."""
+    n = table.group.order
+    if y is None:
+        y = np.zeros(n, dtype=complex)
+        y[0] = 1.0
+    w = np.conj(table.phi.T) @ y / n
+    return w, float(np.max(np.abs(table.phi @ w - y)))
+
+
+@pytest.mark.parametrize("label", [*(f"Z{n}" for n in range(1, 65)), "Z2xZ4", "V4"])
+def test_magnitude_system_bit_identical_to_abelian_inverse(label):
+    table = character_table(group_from_label(label))
+    n = table.group.order
+    rng = np.random.default_rng(n)
+    for y in (None, rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        w, residual = solve_magnitude_system(table, y)
+        w_ref, residual_ref = abelian_inverse_solve(table, y)
+        assert w.tobytes() == w_ref.tobytes()
+        assert residual == residual_ref
+
+
+@pytest.mark.parametrize("label", ["S3", "Q8", "D4", "V4", "Z6", "Z2xZ4"])
+def test_forced_magnitudes_on_every_group(label):
+    """The solver gives d_i^2/n, at which every non-identity derivative sum
+    vanishes for any phases; on Q8 and D4 these magnitudes put f(e) and f(z)
+    (z the central involution) 2*sqrt(2) apart, which unit values cannot be."""
+    table = character_table(group_from_label(label))
+    group = table.group
+    n = group.order
+    d = np.asarray(table.degrees, dtype=float)
+    m, residual = solve_magnitude_system(table)
+    np.testing.assert_allclose(m, d**2 / n, atol=1e-12)
+    assert residual < 1e-12
+    off_identity = np.arange(n) != group.identity
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        a = np.sqrt(d**2 / n) * np.exp(2j * np.pi * rng.random(len(d)))
+        f = from_coefficients(table, a)
+        np.testing.assert_allclose(derivative_sums(f)[off_identity], 0.0, atol=1e-12)
+        if label in ("Q8", "D4"):
+            z = group.class_reps[group.class_sizes.index(1, 1)]  # second central class
+            gap = abs(f.values[group.identity] - f.values[z])
+            assert gap == pytest.approx(4.0 * abs(a[4]), abs=1e-12)
+            assert gap == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+            assert gap > 2.0
+
+
+def relabelled(group, perm):
+    """``group`` with element x renamed perm[x], loaded through group_from_json."""
+    perm = np.asarray(perm)
+    cayley = np.empty_like(group.cayley)
+    cayley[np.ix_(perm, perm)] = perm[group.cayley]
+    obj = group_to_json(group)
+    obj.update(name="relabelled", cayley=cayley.tolist(), identity=int(perm[group.identity]))
+    return group_from_json(obj)
+
+
+def test_magnitude_system_default_rhs_sits_at_the_identity():
+    group = relabelled(make_cyclic(4), [2, 0, 1, 3])
+    assert group.identity == 2
+    w, residual = solve_magnitude_system(character_table(group))
+    np.testing.assert_allclose(w, np.full(4, 0.25), atol=1e-12)
+    assert residual < 1e-12
 
 
 # ---------------------------------------------------------------------------

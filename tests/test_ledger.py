@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+import bentgroups.ledger as ledger_module
 from bentgroups import build_ledger, ledger_to_json
 
 EXPECTED_CLAIMS = [
@@ -71,6 +73,17 @@ def test_budget_zero_skips_search_entries():
     skipped = [e.claim for e in ledger.entries if e.status == "SKIPPED"]
     assert skipped == ["s3-search-evidence", "q8-existence-evidence"]
     assert ledger.passed  # SKIPPED does not fail the gate
+
+
+def test_certified_search_witness_fails_both_search_claims(monkeypatch):
+    """S3 and Q8 both have forced magnitudes that admit no bent function, so a
+    certified witness on either contradicts the derivation."""
+    witness = SimpleNamespace(best_objective=0.0, evaluations=1, certified_bent=True)
+    monkeypatch.setattr(ledger_module, "run_search", lambda config: witness)
+    result = build_ledger(budget=1)
+    failing = [e.claim for e in result.entries if e.status == "FAIL"]
+    assert failing == ["s3-search-evidence", "q8-existence-evidence"]
+    assert not result.passed
 
 
 def test_loose_tolerance_still_passes():
