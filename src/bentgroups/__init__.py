@@ -16,6 +16,7 @@ from .bentness import (
     derivative_sums,
     is_bent,
     is_bent_spectral,
+    oracle_verdicts,
     report_to_json,
     spectrum,
 )
@@ -59,6 +60,7 @@ from .criteria import (
     certificate_to_json,
     cyclic_criterion,
     cyclic_lag_sums,
+    cyclic_satisfied,
     klein_criterion,
     outcome_to_json,
     q8_equation_residuals,

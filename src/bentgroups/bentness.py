@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import CharacterTable
 from .class_functions import ClassFunction, is_unimodular
 from .errors import CapabilityError
 
@@ -25,6 +26,7 @@ __all__ = [
     "derivative_sums",
     "is_bent",
     "is_bent_spectral",
+    "oracle_verdicts",
     "report_to_json",
     "spectrum",
 ]
@@ -79,6 +81,13 @@ def derivative_sums(f: ClassFunction) -> np.ndarray:
     return f.values[f.group.cayley] @ np.conj(f.values)
 
 
+def _verdict(deviation: float, max_residual: float, n: int, tol: float) -> str:
+    """The verdict rule of :class:`BentReport`, shared by the batch path."""
+    if deviation > tol:
+        return NOT_UNIMODULAR
+    return BENT if max_residual <= n * tol else NOT_BENT
+
+
 def is_bent(f: ClassFunction, tol: float = 1e-8) -> BentReport:
     """Full bentness check; see :class:`BentReport` for the verdict rule."""
     group = f.group
@@ -87,16 +96,10 @@ def is_bent(f: ClassFunction, tol: float = 1e-8) -> BentReport:
     mask = np.arange(n) != group.identity
     residuals = derivative_sums(f)[mask]
     max_residual = float(np.max(np.abs(residuals))) if n > 1 else 0.0
-    if deviation > tol:
-        verdict = NOT_UNIMODULAR
-    elif max_residual <= n * tol:
-        verdict = BENT
-    else:
-        verdict = NOT_BENT
     residuals.setflags(write=False)
     return BentReport(
         group=group.name,
-        verdict=verdict,
+        verdict=_verdict(deviation, max_residual, n, tol),
         residuals=residuals,
         max_residual=max_residual,
         unimodular_deviation=deviation,
@@ -125,6 +128,35 @@ def is_bent_spectral(f: ClassFunction, tol: float = 1e-8) -> bool:
     if not ok:
         return False
     return float(np.max(np.abs(spectrum(f) - n))) <= n * tol
+
+
+def oracle_verdicts(
+    table: CharacterTable, values: np.ndarray, tol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Both bentness oracles on a batch: row b of ``values`` is f_b in element order.
+
+    Returns each row's :func:`is_bent` verdict and, on abelian groups, its
+    :func:`is_bent_spectral` outcome (None on nonabelian groups).  The sums
+    are batched matrix products, which may round differently from the
+    per-function calls in the last bits; the verdict rules are theirs.
+    """
+    group = table.group
+    n = group.order
+    v = np.asarray(values, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != n:
+        raise ValueError(f"expected a (B, {n}) batch of values, got shape {v.shape}")
+    deviation = np.max(np.abs(np.abs(v) - 1.0), axis=1)
+    sums = (v[:, group.cayley] @ np.conj(v)[:, :, None])[:, :, 0]
+    residuals = np.abs(sums[:, np.arange(n) != group.identity])
+    max_residual = np.max(residuals, axis=1, initial=0.0)
+    verdicts = np.array(
+        [_verdict(d, m, n, tol) for d, m in zip(deviation.tolist(), max_residual.tolist())]
+    )
+    if not group.is_abelian:
+        return verdicts, None
+    spectra = np.abs(v @ np.conj(table.phi)) ** 2
+    flat = (deviation <= tol) & (np.max(np.abs(spectra - n), axis=1) <= n * tol)
+    return verdicts, flat
 
 
 def report_to_json(report: BentReport) -> dict:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, NumericDegeneracyError
-from .groups import Group
+from .groups import Group, element_order
 
 __all__ = [
     "CharacterTable",
@@ -204,6 +204,36 @@ _REFERENCE_TABLES: dict[str, np.ndarray] = {
 }
 
 
+# (class size, element order) of each reference column: relabelling
+# invariants that match the columns to a group's computed classes.
+_REFERENCE_CLASS_KEYS: dict[str, tuple[tuple[int, int], ...]] = {
+    "S3": ((1, 1), (3, 2), (2, 3)),
+    "Q8": ((1, 1), (1, 2), (2, 4), (2, 4), (2, 4)),
+    "D4": ((1, 1), (2, 4), (1, 2), (2, 2), (2, 2)),
+}
+
+
+def _aligned_reference(group: Group) -> np.ndarray:
+    """The named group's reference table with columns in ``group``'s class order.
+
+    A relabelled copy of a named group can list its classes in another order;
+    columns are matched by (class size, element order).  Classes sharing a key
+    (Q8's i, j, k; D4's two reflection classes) are permuted by automorphisms,
+    which only permute the reference rows.
+    """
+    free: list = list(_REFERENCE_CLASS_KEYS[group.name])
+    columns = []
+    for size, rep in zip(group.class_sizes, group.class_reps):
+        key = (size, element_order(group, rep))
+        if key not in free:
+            raise ValueError(
+                f"conjugacy classes of {group.name} do not match the built-in reference"
+            )
+        columns.append(free.index(key))
+        free[columns[-1]] = None  # each reference column is used once
+    return _REFERENCE_TABLES[group.name][:, columns]
+
+
 def _match_reference(computed: np.ndarray, reference: np.ndarray, name: str) -> np.ndarray:
     """Reorder computed rows to the reference order, failing on any mismatch."""
     r = reference.shape[0]
@@ -275,8 +305,8 @@ def character_table(group: Group) -> CharacterTable:
         class_values = phi.T.copy()
         degrees = tuple([1] * group.order)
     elif group.name in _REFERENCE_TABLES:
-        computed = _class_sum_rows(group)
-        class_values = _match_reference(computed, _REFERENCE_TABLES[group.name], group.name)
+        reference = _aligned_reference(group)
+        class_values = _match_reference(_class_sum_rows(group), reference, group.name)
         degrees = tuple(int(round(float(row[0].real))) for row in class_values)
         phi = class_values[:, group.class_of].T.copy()
     elif group.is_abelian:

@@ -26,6 +26,7 @@ __all__ = [
     "certificate_to_json",
     "cyclic_criterion",
     "cyclic_lag_sums",
+    "cyclic_satisfied",
     "klein_criterion",
     "outcome_to_json",
     "q8_equation_residuals",
@@ -130,13 +131,27 @@ def solve_magnitude_system(
 
 
 def cyclic_lag_sums(a: Sequence[complex]) -> np.ndarray:
-    """Cyclic autocorrelation sums sum_i conj(a_i) a_{i+k} for k = 1..floor(n/2)."""
+    """Cyclic autocorrelation sums sum_i conj(a_i) a_{i+k} for k = 1..floor(n/2).
+
+    ``a`` is one coefficient vector or a (B, n) batch of them; a batch gives
+    one row of sums per vector, each bit-identical to the single-vector call.
+    """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 1 or len(a) < 2:
+    if a.ndim not in (1, 2) or a.shape[-1] < 2:
         raise ValueError(f"expected a coefficient vector of length >= 2, got shape {a.shape}")
-    n = len(a)
+    n = a.shape[-1]
     lags = np.arange(1, n // 2 + 1)
-    return (np.conj(a) * a[(np.arange(n) + lags[:, None]) % n]).sum(axis=-1)
+    return (np.conj(a)[..., None, :] * a[..., (np.arange(n) + lags[:, None]) % n]).sum(axis=-1)
+
+
+def _cyclic_residuals(a: np.ndarray) -> np.ndarray:
+    """Residuals of the Z_n equations, per row: n magnitude checks, then the lag sums."""
+    values = np.concatenate((a, cyclic_lag_sums(a)), axis=-1)
+    n = a.shape[-1]
+    # hypot rounds exactly like abs()
+    residuals = np.hypot(values.real, values.imag)
+    residuals[..., :n] = np.abs(residuals[..., :n] - 1.0 / math.sqrt(n))
+    return residuals
 
 
 def cyclic_criterion(a: Sequence[complex], tol: float = DEFAULT_TOL) -> CriterionOutcome:
@@ -150,15 +165,17 @@ def cyclic_criterion(a: Sequence[complex], tol: float = DEFAULT_TOL) -> Criterio
     if a.ndim != 1 or len(a) < 2:
         raise ValueError(f"expected a coefficient vector of length >= 2, got shape {a.shape}")
     n = len(a)
-    values = np.concatenate((a, cyclic_lag_sums(a)))
-    # n magnitude checks, then the lag sums; hypot rounds exactly like abs()
-    residuals = np.hypot(values.real, values.imag)
-    residuals[:n] = np.abs(residuals[:n] - 1.0 / math.sqrt(n))
+    residuals = _cyclic_residuals(a)
     checks = [
         (f"|a_{j + 1}|" if j < n else f"lag-{j - n + 1} sum", residuals[j])
         for j in np.flatnonzero(residuals > tol)
     ]
     return _finalize("cyclic-bent", checks, tol)
+
+
+def cyclic_satisfied(a: Sequence[complex], tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``cyclic_criterion(row, tol).satisfied`` for every row of a (B, n) batch."""
+    return ~np.any(_cyclic_residuals(np.asarray(a, dtype=complex)) > tol, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from bentgroups import (
     is_bent_spectral,
     make_bent_cyclic,
     make_cyclic,
+    oracle_verdicts,
     report_to_json,
     spectrum,
 )
@@ -174,6 +176,67 @@ def test_right_sums_equal_left_sums_and_closed_form(label):
     )
     np.testing.assert_allclose(right, left, rtol=0, atol=1e-12)
     np.testing.assert_allclose(right, closed, rtol=0, atol=1e-12)
+
+
+def verdict_batch(table, rng: np.random.Generator) -> list:
+    """Class functions of every verdict kind: random values and coefficients,
+    the (unimodular, not bent) characters, and on Z_n every Zadoff-Chu witness."""
+    group = table.group
+    n, r = group.order, table.n_irreps
+    functions = [from_coefficients(table, rng.standard_normal(r) + 1j * rng.standard_normal(r))
+                 for _ in range(15)]
+    functions += [from_coefficients(table, row) for row in np.eye(r)]
+    if group.is_abelian:
+        functions += [from_values(table, unit_phases(rng, n)) for _ in range(15)]
+    if group.abelian_factors is not None and len(group.abelian_factors) == 1:
+        functions += [
+            make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function
+            for u in range(1, n + 1)
+            if math.gcd(u, n) == 1
+        ]
+    return functions
+
+
+@pytest.mark.parametrize(
+    "label", [*(f"Z{n}" for n in range(2, 13)), "V4", "Z2xZ4", "S3", "Q8", "D4"]
+)
+def test_oracle_verdicts_match_per_function_checks(label):
+    table = character_table(group_from_label(label))
+    functions = verdict_batch(table, np.random.default_rng(len(label) * 97 + table.group.order))
+    values = np.array([f.values for f in functions])
+    # batched sums round differently in the last bits, so a tolerance below
+    # rounding (say 1e-30) can split verdicts; realistic ones must not
+    for tol in (1e-8, 1e-12):
+        verdicts, spectral = oracle_verdicts(table, values, tol)
+        assert verdicts.tolist() == [is_bent(f, tol).verdict for f in functions]
+        if table.group.is_abelian:
+            assert spectral.tolist() == [is_bent_spectral(f, tol) for f in functions]
+        else:
+            assert spectral is None
+    kinds = set(oracle_verdicts(table, values)[0].tolist())
+    assert {NOT_BENT, NOT_UNIMODULAR} <= kinds
+    assert (BENT in kinds) == (table.group.abelian_factors == (table.group.order,))
+
+
+def test_oracle_verdicts_share_the_rule_on_non_finite_values(z3_table):
+    """A NaN row takes the same branch of the verdict rule as in is_bent."""
+    values = np.array([[1.0, np.nan, 1.0], [1.0, 1.0, 1.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        functions = [from_values(z3_table, row) for row in values]
+        verdicts, spectral = oracle_verdicts(z3_table, values)
+        assert verdicts.tolist() == [is_bent(f).verdict for f in functions]
+        assert spectral.tolist() == [is_bent_spectral(f) for f in functions]
+
+
+def test_oracle_verdicts_order_one_and_shape_errors():
+    table = character_table(make_cyclic(1))
+    verdicts, spectral = oracle_verdicts(table, np.ones((2, 1)))
+    assert verdicts.tolist() == [BENT, BENT] and spectral.tolist() == [True, True]
+    with pytest.raises(ValueError):
+        oracle_verdicts(table, np.ones(1))
+    with pytest.raises(ValueError):
+        oracle_verdicts(character_table(make_cyclic(3)), np.ones((2, 4)))
 
 
 def test_report_json_layout(z3_table, s3_table):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import replace
 
@@ -177,6 +178,55 @@ def test_class_sum_route_matches_analytic_route():
     got = sorted(tuple(np.round(row, 9)) for row in table.class_values)
     want = sorted(tuple(np.round(row, 9)) for row in reference.class_values)
     assert np.allclose(np.array(got, dtype=complex), np.array(want, dtype=complex), atol=1e-9)
+
+
+def relabelled_named(name: str, perm: np.ndarray):
+    """The named group with element x renamed perm[x], loaded under its own name."""
+    group = make_named(name)
+    cayley = np.empty_like(group.cayley)
+    cayley[np.ix_(perm, perm)] = perm[group.cayley]
+    obj = group_to_json(group)
+    obj.update(cayley=cayley.tolist(), identity=int(perm[group.identity]))
+    return group_from_json(obj)
+
+
+def character_set(phi: np.ndarray) -> list[tuple]:
+    """Columns of phi (the characters) as a sorted list, blind to their order."""
+    return sorted(map(tuple, np.ascontiguousarray(np.round(phi.T, 9)).view(float) + 0.0))
+
+
+RELABELLINGS = {
+    # every relabelling of S3's five non-identity elements
+    "S3": [np.array([0, *p]) for p in itertools.permutations(range(1, 6))],
+    # a fixed sample that also moves the identity
+    "Q8": list(np.random.default_rng(8).permuted(np.tile(np.arange(8), (60, 1)), axis=1)),
+    "D4": list(np.random.default_rng(4).permuted(np.tile(np.arange(8), (60, 1)), axis=1)),
+}
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "D4"])
+def test_relabelled_named_groups_get_their_table(name):
+    """Relabelling can reorder the classes; the reference columns follow them."""
+    canonical = character_table(make_named(name))
+    for perm in RELABELLINGS[name]:
+        group = relabelled_named(name, perm)
+        table = character_table(group)
+        assert verify_orthogonality(table).passed
+        assert table.degrees == canonical.degrees
+        # character values at perm[x] are the canonical ones at x, up to the
+        # automorphisms that permute Q8's and D4's linear characters
+        moved = table.phi[perm]
+        if name == "S3":
+            np.testing.assert_allclose(moved, canonical.phi, atol=1e-9)
+        assert character_set(moved) == character_set(canonical.phi)
+
+
+def test_named_label_on_another_group_is_rejected():
+    for table_of, name in (("Z6", "S3"), ("D4", "Q8"), ("Q8", "D4")):
+        obj = group_to_json(group_from_label(table_of))
+        obj["name"] = name
+        with pytest.raises(ValueError, match=f"computed character table for {name}|classes of {name}"):
+            character_table(group_from_json(obj))
 
 
 def test_unknown_nonabelian_is_rejected():

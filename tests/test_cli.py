@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentgroups import (
     character_table,
@@ -110,6 +114,71 @@ def test_check_malformed_data_exits_2(capsys, tmp_path, data):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def reject_constant(token):
+    raise ValueError(f"non-finite number {token} in JSON output")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+NUMBERS = st.sampled_from([0, 1, -1, 0.5]) | st.floats() | st.integers()
+PAIRS = st.tuples(NUMBERS, NUMBERS).map(list)
+# label -> (number of coefficients, number of elements)
+LABEL_SIZES = {"Z1": (1, 1), "Z2": (2, 2), "Z3": (3, 3), "z6": (6, 6), "V4": (4, 4),
+               " S3 ": (3, 6), "Q8": (5, 8), "D4": (5, 8), "Z2xZ2": (4, 4)}
+
+
+@st.composite
+def class_function_payloads(draw):
+    """Well-formed payloads three times in four per field, so exits 0 and 1 occur."""
+    well_formed = st.integers(0, 3).map(bool)
+    if draw(well_formed):
+        label = draw(st.sampled_from(sorted(LABEL_SIZES)))
+    else:
+        label = draw(st.sampled_from(["Z0", "Z513", "Z2xZ0", "E8", ""]) | st.text(max_size=5))
+    if draw(well_formed):
+        basis = draw(st.sampled_from(["coefficients", "pointwise"]))
+    else:
+        basis = draw(st.text(max_size=4))
+    r, n = LABEL_SIZES.get(label, (3, 3))
+    size = r if basis == "coefficients" else n
+    if draw(well_formed):
+        data = draw(st.lists(PAIRS, min_size=size, max_size=size))
+    else:
+        data = draw(st.lists(PAIRS | JSON_VALUES, max_size=9) | JSON_VALUES)
+    return {"group": label, "basis": basis, "data": data}
+
+
+BENT_PAYLOAD = {"group": "Z2", "basis": "pointwise", "data": [[1, 0], [0, 1]]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "payload.json"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(payload=class_function_payloads() | JSON_VALUES | st.just(BENT_PAYLOAD))
+def test_check_fuzzed_payloads_keep_the_exit_contract(fuzz_path, payload):
+    """Any JSON payload: exit 0/1 with strict JSON on stdout, or exit 2 with
+    one error line on stderr; no exception escapes main."""
+    fuzz_path.write_text(json.dumps(payload), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(fuzz_path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    else:
+        assert err.getvalue() == ""
+        report = json.loads(out.getvalue(), parse_constant=reject_constant)
+        assert (report["verdict"] == "BENT") == (code == 0)
 
 
 def test_check_missing_file(capsys):

@@ -17,6 +17,7 @@ from bentgroups import (
     character_table,
     cyclic_criterion,
     cyclic_lag_sums,
+    cyclic_satisfied,
     derivative_sums,
     from_coefficients,
     group_from_json,
@@ -185,6 +186,35 @@ def test_cyclic_criterion_matches_loop_reference():
             assert outcome.satisfied == (not expected)
 
 
+@pytest.mark.parametrize("n", [*range(2, 65), 509])
+def test_batched_lag_sums_bit_identical_to_per_vector_calls(n):
+    rng = np.random.default_rng(1000 + n)
+    a = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+    per_vector = np.array([cyclic_lag_sums(row) for row in a])
+    assert cyclic_lag_sums(a).tobytes() == per_vector.tobytes()
+
+
+def coefficient_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Gaussian and flat random-phase rows plus every Zadoff-Chu witness on Z_n."""
+    rows = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(20)]
+    rows += [flat_random_coefficients(rng, n) for _ in range(20)]
+    rows += [
+        make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function.coefficients
+        for u in range(1, n + 1)
+        if math.gcd(u, n) == 1
+    ]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cyclic_satisfied_matches_criterion_row_by_row(n):
+    a = coefficient_batch(np.random.default_rng(2000 + n), n)
+    for tol in (1e-8, 1e-30):
+        expected = [cyclic_criterion(row, tol).satisfied for row in a]
+        assert cyclic_satisfied(a, tol).tolist() == expected
+    assert cyclic_satisfied(a).any() and not cyclic_satisfied(a).all()
+
+
 def test_z3_closed_form_condition():
     rng = np.random.default_rng(31)
     a = flat_random_coefficients(rng, 3)
@@ -244,7 +274,12 @@ def test_cyclic_criterion_shape_errors():
     with pytest.raises(ValueError):
         cyclic_criterion(np.array([1.0]))
     with pytest.raises(ValueError):
-        cyclic_lag_sums(np.ones((2, 2)))
+        cyclic_criterion(np.ones((2, 2)))  # a batch is for cyclic_satisfied
+    with pytest.raises(ValueError):
+        cyclic_lag_sums(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError):
+        cyclic_lag_sums(np.ones((3, 1)))
+    assert cyclic_lag_sums(np.ones((3, 2))).shape == (3, 1)  # a batch of three
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,29 @@
 from __future__ import annotations
 
 import json
+import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import bentgroups.ledger as ledger_module
-from bentgroups import build_ledger, ledger_to_json
+from bentgroups import (
+    BENT,
+    SequenceKind,
+    SequenceSpec,
+    build_ledger,
+    character_table,
+    cyclic_criterion,
+    cyclic_lag_sums,
+    from_coefficients,
+    from_values,
+    is_bent,
+    is_bent_spectral,
+    ledger_to_json,
+    make_bent_cyclic,
+    make_cyclic,
+)
 
 EXPECTED_CLAIMS = [
     "character-tables",
@@ -115,3 +132,95 @@ def test_json_layout(default_ledger):
     assert obj["passed"] is True
     entry = obj["entries"][0]
     assert set(entry) == {"claim", "statement", "status", "metric", "detail"}
+
+
+# ---------------------------------------------------------------------------
+# the batched agreement claims against their per-vector loop form
+
+
+def zadoff_chu(n: int, u: int):
+    return make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function
+
+
+def scalar_printed_sums(a: np.ndarray) -> list[complex]:
+    """The displayed Z3/Z4 sums of one vector, in numpy scalar arithmetic."""
+    if len(a) == 3:
+        a1, a2, a3 = a
+        return [np.conj(a1) * a2 + np.conj(a2) * a3 + np.conj(a3) * a1]
+    a1, a2, a3, a4 = a
+    return [
+        np.conj(a1) * a2 + np.conj(a2) * a3 + np.conj(a3) * a4 + np.conj(a4) * a1,
+        np.conj(a1) * a3 + np.conj(a2) * a4 + np.conj(a3) * a1 + np.conj(a4) * a2,
+    ]
+
+
+def loop_bent_iff(tol: float, seed: int) -> tuple[int, int]:
+    rng = ledger_module._rng(seed, 1)
+    disagreements = checked = 0
+    for n in range(2, 9):
+        table = character_table(make_cyclic(n))
+        functions = [from_values(table, np.exp(2j * np.pi * rng.random(n))) for _ in range(120)]
+        for f in [*functions, zadoff_chu(n, 1)]:
+            disagreements += (is_bent(f, tol).verdict == BENT) != is_bent_spectral(f, tol)
+            checked += 1
+    return disagreements, checked
+
+
+def loop_criterion_vs_oracle(n: int, vectors: list, tol: float) -> int:
+    table = character_table(make_cyclic(n))
+    return sum(
+        cyclic_criterion(a, tol).satisfied
+        != (is_bent(from_coefficients(table, a), tol).verdict == BENT)
+        for a in vectors
+    )
+
+
+def loop_z3_z4(tol: float, seed: int) -> tuple[float, int]:
+    rng = ledger_module._rng(seed, 2)
+    worst, disagreements = 0.0, 0
+    for n in (3, 4):
+        vectors = [ledger_module._random_coefficients(rng, n, k % 3) for k in range(200)]
+        vectors.append(zadoff_chu(n, 1).coefficients)
+        for a in vectors:
+            printed = np.asarray(scalar_printed_sums(a))
+            worst = max(worst, float(np.max(np.abs(printed - cyclic_lag_sums(a)[: len(printed)]))))
+        disagreements += loop_criterion_vs_oracle(n, vectors, tol)
+    return worst, disagreements
+
+
+def loop_cyclic_general(tol: float, seed: int) -> tuple[int, int]:
+    rng = ledger_module._rng(seed, 3)
+    disagreements = checked = 0
+    for n in range(2, 13):
+        vectors = [ledger_module._random_coefficients(rng, n, k % 3) for k in range(150)]
+        vectors += [zadoff_chu(n, u).coefficients for u in range(1, n + 1) if math.gcd(u, n) == 1]
+        disagreements += loop_criterion_vs_oracle(n, vectors, tol)
+        checked += len(vectors)
+    return disagreements, checked
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_batched_printed_sums_bit_identical_to_scalar_form(n):
+    rng = np.random.default_rng(n)
+    a = np.array([ledger_module._random_coefficients(rng, n, k % 3) for k in range(300)])
+    scalar = np.array([scalar_printed_sums(row) for row in a])
+    assert ledger_module._printed_z3_z4_sums(a).tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_agreement_claims_match_per_vector_loops(seed):
+    tol = 1e-8
+    disagreements, checked = loop_bent_iff(tol, seed)
+    entry = ledger_module._claim_bent_iff(tol, seed)
+    assert (entry.metric, entry.status) == (float(disagreements), "PASS")
+    assert entry.detail.endswith(f"compared on {checked} functions")
+
+    worst, disagreements = loop_z3_z4(tol, seed)
+    entry = ledger_module._claim_z3_z4(tol, seed)
+    assert entry.metric == worst + disagreements and disagreements == 0
+    assert entry.detail.endswith(f"({disagreements} disagreements)")
+
+    disagreements, checked = loop_cyclic_general(tol, seed)
+    entry = ledger_module._claim_cyclic_general(tol, seed)
+    assert (entry.metric, entry.status) == (float(disagreements), "PASS")
+    assert f"on {checked} coefficient vectors" in entry.detail
