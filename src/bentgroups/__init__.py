@@ -1,10 +1,11 @@
 """Bent class functions on small finite groups.
 
 Compute irreducible character tables, represent class functions in the
-character basis, decide bentness by derivative sums (and spectra on abelian
-groups), evaluate the coefficient criteria for Z_n, V4, S3 and Q8, construct
-certified bent functions from CAZAC sequences, and search coefficient space
-with reproducible seeds.
+character basis, decide bentness by derivative sums (and by spectra), evaluate
+the coefficient criteria for Z_n, V4 and Q8, rule bent functions out on any
+group with the L1 impossibility certificate, construct certified bent
+functions from CAZAC sequences, and search coefficient space with
+reproducible seeds.
 """
 
 from .bentness import (
@@ -55,17 +56,15 @@ from .constructions import (
 )
 from .criteria import (
     CriterionOutcome,
-    S3Certificate,
+    ImpossibilityCertificate,
     abelian_magnitude_necessary,
-    certificate_to_json,
     cyclic_criterion,
     cyclic_lag_sums,
     cyclic_satisfied,
+    impossibility_certificate,
     klein_criterion,
     outcome_to_json,
     q8_equation_residuals,
-    q8_necessary,
-    s3_certificate,
     solve_magnitude_system,
     solve_q8_system,
 )

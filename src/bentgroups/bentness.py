@@ -1,10 +1,12 @@
-"""Bentness checks via derivative sums and, for abelian groups, spectra.
+"""Bentness checks via derivative sums and via spectra.
 
 The derivative of ``f`` along a direction ``sigma`` is
 ``x -> conj(f(x)) * f(sigma x)``; ``f`` is bent when it is unimodular and the
 sum of this derivative over the group vanishes for every ``sigma`` other than
-the identity.  For abelian groups an equivalent route checks that the
-character-basis spectrum is flat: ``|fhat(chi)|^2 = n`` for every character.
+the identity.  An equivalent route checks that the spectrum is flat: the
+Fourier transform of a class function at the irreducible representation
+``rho_i`` is the scalar matrix ``n * a_i / d_i``, and ``f`` is bent iff it is
+unimodular and ``|n * a_i / d_i|^2 = n`` for every i.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from .characters import CharacterTable
 from .class_functions import ClassFunction, is_unimodular
-from .errors import CapabilityError
 
 __all__ = [
     "BENT",
@@ -108,21 +109,18 @@ def is_bent(f: ClassFunction, tol: float = 1e-8) -> BentReport:
 
 
 def spectrum(f: ClassFunction) -> np.ndarray:
-    """Squared magnitudes |fhat(chi_i)|^2 of the character-basis transform.
+    """Squared moduli |fhat(rho_i)|^2 = |n * a_i / d_i|^2, one per irreducible.
 
-    Only defined for abelian groups, where fhat(chi) = sum_x f(x) conj(chi(x))
-    and fhat(chi_i) = n * a_i.
+    fhat(rho_i) = sum_x f(x) conj(rho_i(x)) is the scalar matrix with entry
+    sum_x f(x) conj(chi_i(x)) / d_i = n * a_i / d_i.  On abelian groups every
+    d_i is 1 and this is the character-basis transform.
     """
-    if not f.group.is_abelian:
-        raise CapabilityError(
-            f"spectrum is only defined for abelian groups, not {f.group.name!r}"
-        )
     fhat = np.conj(f.table.phi.T) @ f.values
-    return np.abs(fhat) ** 2
+    return np.abs(fhat) ** 2 / np.square(f.table.degrees)
 
 
 def is_bent_spectral(f: ClassFunction, tol: float = 1e-8) -> bool:
-    """Abelian-only equivalent check: unimodular values and a flat spectrum."""
+    """Equivalent check on any group: unimodular values and a flat spectrum."""
     n = f.group.order
     ok, _ = is_unimodular(f, tol)
     if not ok:
@@ -132,13 +130,13 @@ def is_bent_spectral(f: ClassFunction, tol: float = 1e-8) -> bool:
 
 def oracle_verdicts(
     table: CharacterTable, values: np.ndarray, tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Both bentness oracles on a batch: row b of ``values`` is f_b in element order.
 
-    Returns each row's :func:`is_bent` verdict and, on abelian groups, its
-    :func:`is_bent_spectral` outcome (None on nonabelian groups).  The sums
-    are batched matrix products, which may round differently from the
-    per-function calls in the last bits; the verdict rules are theirs.
+    Returns each row's :func:`is_bent` verdict and its :func:`is_bent_spectral`
+    outcome.  The sums are batched matrix products, which may round
+    differently from the per-function calls in the last bits; the verdict
+    rules are theirs.
     """
     group = table.group
     n = group.order
@@ -152,9 +150,7 @@ def oracle_verdicts(
     verdicts = np.array(
         [_verdict(d, m, n, tol) for d, m in zip(deviation.tolist(), max_residual.tolist())]
     )
-    if not group.is_abelian:
-        return verdicts, None
-    spectra = np.abs(v @ np.conj(table.phi)) ** 2
+    spectra = np.abs(v @ np.conj(table.phi)) ** 2 / np.square(table.degrees)
     flat = (deviation <= tol) & (np.max(np.abs(spectra - n), axis=1) <= n * tol)
     return verdicts, flat
 

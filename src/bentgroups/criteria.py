@@ -6,6 +6,8 @@ package implements, and reports the violated equations with their residual
 magnitudes.  Ground truth is always the brute-force derivative-sum oracle in
 :mod:`bentgroups.bentness`; the test suite cross-validates every criterion
 against it, and any systematic discrepancy is documented rather than patched.
+:func:`impossibility_certificate` rules bent class functions out on any group
+whose character table violates the L1 bound.
 """
 
 from __future__ import annotations
@@ -16,22 +18,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import CharacterTable, character_table
-from .groups import make_named
+from .characters import CharacterTable
 
 __all__ = [
     "CriterionOutcome",
-    "S3Certificate",
+    "ImpossibilityCertificate",
     "abelian_magnitude_necessary",
-    "certificate_to_json",
     "cyclic_criterion",
     "cyclic_lag_sums",
     "cyclic_satisfied",
+    "impossibility_certificate",
     "klein_criterion",
     "outcome_to_json",
     "q8_equation_residuals",
-    "q8_necessary",
-    "s3_certificate",
     "solve_magnitude_system",
     "solve_q8_system",
 ]
@@ -55,23 +54,27 @@ class CriterionOutcome:
 
 
 @dataclass(frozen=True)
-class S3Certificate:
-    """Impossibility certificate for bent class functions on S3.
+class ImpossibilityCertificate:
+    """The L1 bound on every irreducible character of one group.
 
-    The forced magnitudes come from :func:`solve_magnitude_system`, the cross
-    term from unimodularity on the transposition class; ``contradiction``
-    records that the forced cross term exceeds its Cauchy-Schwarz bound
-    (cs_lhs > cs_rhs), so no coefficient vector satisfies all constraints.
-    ``solve_residual`` bounds the numeric steps (linear-system residual plus
-    the imaginary leakage of the magnitudes).
+    Inversion gives n * a_i = sum_x f(x) conj(chi_i(x)), so a unimodular f has
+    n |a_i| <= ||chi_i||_1 = sum_x |chi_i(x)|.  Bentness forces |a_i|^2 = m_i,
+    the solution of the magnitude system, so a bent class function exists
+    only if ``l1_norms[i] >= required[i] = n * sqrt(m_i)`` for every i.
+    ``violated`` lists the characters where that fails; any one of them rules
+    bent class functions out.  ``residual`` bounds the numeric steps (the
+    solver residual plus the imaginary leakage of m).
     """
 
-    magnitudes: tuple[float, float, float]
-    cross_term: float
-    cs_lhs: float
-    cs_rhs: float
-    contradiction: bool
-    solve_residual: float
+    l1_norms: tuple[float, ...]
+    required: tuple[float, ...]
+    violated: tuple[int, ...]
+    residual: float
+
+    @property
+    def margin(self) -> float:
+        """Largest ``required[i] - l1_norms[i]``; positive iff a character is violated."""
+        return max(r - l1 for r, l1 in zip(self.required, self.l1_norms))
 
 
 def _finalize(name: str, checks: list[tuple[str, float]], tol: float) -> CriterionOutcome:
@@ -124,6 +127,24 @@ def solve_magnitude_system(
     m = d * (np.conj(table.phi.T) @ y) / n
     residual = float(np.max(np.abs(table.phi @ (m / d) - y)))
     return m, residual
+
+
+def impossibility_certificate(table: CharacterTable) -> ImpossibilityCertificate:
+    """Check the L1 bound n * sqrt(m_i) <= ||chi_i||_1 on every character of ``table``.
+
+    ``m`` comes from :func:`solve_magnitude_system`; ``||chi_i||_1`` is
+    sum_c |C_c| |chi_i(C_c)| over the conjugacy classes.
+    """
+    group = table.group
+    m, residual = solve_magnitude_system(table)
+    l1 = np.asarray(group.class_sizes, dtype=float) @ np.abs(table.class_values.T)
+    required = group.order * np.sqrt(m.real)
+    return ImpossibilityCertificate(
+        l1_norms=tuple(l1.tolist()),
+        required=tuple(required.tolist()),
+        violated=tuple(np.flatnonzero(l1 < required).tolist()),
+        residual=residual + float(np.max(np.abs(m.imag))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +243,6 @@ _Q8_ROWS = np.array(
     ]
 )
 _Q8_RHS = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-_Q8_EQUATION_LABELS = (
-    "direction -1 equation",
-    "direction i equation",
-    "direction j equation",
-    "direction k equation",
-    "unit-energy equation",
-)
 
 
 def solve_q8_system() -> tuple[np.ndarray, float]:
@@ -250,51 +264,6 @@ def q8_equation_residuals(m: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(abs(v)) for v in _Q8_ROWS[:4] @ m)
 
 
-def q8_necessary(a: Sequence[complex], tol: float = DEFAULT_TOL) -> CriterionOutcome:
-    """Necessary magnitudes on Q8: |a_i|^2 = 2/9 for i <= 4 and |a_5|^2 = 1/9."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (5,):
-        raise ValueError(f"expected exactly 5 coefficients, got shape {a.shape}")
-    targets, _ = solve_q8_system()
-    checks = [
-        (f"|a_{i + 1}|^2", abs(abs(a[i]) ** 2 - targets[i])) for i in range(5)
-    ]
-    return _finalize("q8-necessary-magnitudes", checks, tol)
-
-
-# ---------------------------------------------------------------------------
-# S3 impossibility certificate
-
-
-def s3_certificate(tol: float = DEFAULT_TOL) -> S3Certificate:
-    """Derive the S3 impossibility certificate from the closed form.
-
-    The magnitude system forces (1/6, 1/6, 2/3), the unimodularity of the
-    value on transpositions forces the cross term, and the Cauchy-Schwarz
-    bound is then violated.
-    """
-    m, residual = solve_magnitude_system(character_table(make_named("S3")))
-    worst = residual + float(np.max(np.abs(m.imag)))
-    if worst > tol:
-        raise RuntimeError(
-            f"magnitude derivation residual {worst:.3e} exceeds tolerance {tol:.0e}"
-        )
-    magnitudes = m.real
-    # the value on transpositions is a_1 - a_2, so |f| = 1 there forces the
-    # cross term: |a_1 - a_2|^2 = m_1 + m_2 - cross = 1.
-    cross = float(magnitudes[0] + magnitudes[1] - 1.0)
-    cs_lhs = abs(cross)
-    cs_rhs = 2.0 * math.sqrt(magnitudes[0] * magnitudes[1])
-    return S3Certificate(
-        magnitudes=tuple(float(v) for v in magnitudes),
-        cross_term=cross,
-        cs_lhs=cs_lhs,
-        cs_rhs=cs_rhs,
-        contradiction=cs_lhs > cs_rhs,
-        solve_residual=worst,
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -305,15 +274,4 @@ def outcome_to_json(outcome: CriterionOutcome) -> dict:
         "satisfied": outcome.satisfied,
         "violations": [[label, res] for label, res in outcome.violations],
         "tol": outcome.tol,
-    }
-
-
-def certificate_to_json(cert: S3Certificate) -> dict:
-    return {
-        "magnitudes": list(cert.magnitudes),
-        "cross_term": cert.cross_term,
-        "cs_lhs": cert.cs_lhs,
-        "cs_rhs": cert.cs_rhs,
-        "contradiction": cert.contradiction,
-        "solve_residual": cert.solve_residual,
     }

@@ -323,19 +323,26 @@ def _make_d4() -> Group:
     return _build_group("D4", cayley, element_names=names)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def make_named(name: str) -> Group:
-    """One of the built-in nonabelian/Klein groups: S3, Q8, V4, D4 (memoized)."""
+    """One of the built-in nonabelian/Klein groups: S3, Q8, V4, D4.
+
+    Memoized by the upper-cased name, so every spelling shares one instance.
+    """
     key = name.upper()
+    if key not in CATALOG:
+        raise ValueError(f"unknown group name {name!r}; available: {', '.join(CATALOG)}")
+    return _make_named(key)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _make_named(key: str) -> Group:
     if key == "S3":
         return _make_s3()
     if key == "Q8":
         return _make_q8()
     if key == "D4":
         return _make_d4()
-    if key == "V4":
-        return replace(make_abelian((2, 2)), name="V4")
-    raise ValueError(f"unknown group name {name!r}; available: {', '.join(CATALOG)}")
+    return replace(make_abelian((2, 2)), name="V4")
 
 
 def group_from_label(label: str) -> Group:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bentness import BENT, BentReport, is_bent
+from .bentness import BENT, BentReport, is_bent, report_to_json
 from .characters import CharacterTable, character_table
 from .class_functions import from_coefficients
 from .constructions import quadratic_chirp, zadoff_chu
@@ -342,8 +342,6 @@ def run_search(config: SearchConfig) -> SearchResult:
 
 
 def result_to_json(result: SearchResult) -> dict:
-    from .bentness import report_to_json  # local import keeps module load light
-
     return {
         "config": {
             "group": result.config.group,

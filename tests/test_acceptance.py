@@ -26,13 +26,13 @@ from bentgroups import (
     from_coefficients,
     global_phase,
     group_from_label,
+    impossibility_certificate,
     is_bent,
     make_bent_cyclic,
     make_cyclic,
     make_named,
     q8_equation_residuals,
     run_search,
-    s3_certificate,
     solve_q8_system,
     spectrum,
     translate,
@@ -171,14 +171,14 @@ def test_acceptance_5_construction_existence_sweep():
 
 
 def test_acceptance_6a_s3_certificate():
-    cert = s3_certificate(tol=1e-12)
-    np.testing.assert_allclose(cert.magnitudes, [1 / 6, 1 / 6, 2 / 3], atol=1e-12)
-    assert abs(cert.cross_term - (-2 / 3)) < 1e-12
-    assert abs(cert.cs_lhs - 2 / 3) < 1e-12
-    assert abs(cert.cs_rhs - 1 / 3) < 1e-12
-    assert cert.cs_lhs > cert.cs_rhs
-    assert cert.contradiction
-    assert cert.solve_residual < 1e-12
+    """The L1 bound rules S3 out: its 2-dimensional character has
+    ||chi||_1 = 4 < d*sqrt(n) = 2*sqrt(6)."""
+    cert = impossibility_certificate(character_table(make_named("S3")))
+    assert cert.violated == (2,)
+    assert abs(cert.l1_norms[2] - 4.0) < 1e-12
+    assert abs(cert.required[2] - 2 * math.sqrt(6)) < 1e-12
+    assert cert.residual < 1e-12
+    assert cert.margin > cert.residual
 
 
 def test_acceptance_6b_s3_search_regression():

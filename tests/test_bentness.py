@@ -1,4 +1,4 @@
-"""Derivative sums, verdicts, and abelian spectra against brute-force oracles."""
+"""Derivative sums, verdicts, and spectra against brute-force oracles."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from bentgroups import (
     BENT,
     NOT_BENT,
     NOT_UNIMODULAR,
-    CapabilityError,
     SequenceKind,
     SequenceSpec,
     character_table,
@@ -155,10 +154,51 @@ def test_spectral_and_derivative_verdicts_agree():
         assert is_bent_spectral(bent)
 
 
-def test_spectrum_rejects_nonabelian(s3_table):
+def test_spectral_check_on_the_s3_trivial_character(s3_table):
     f = from_coefficients(s3_table, np.array([1.0, 0, 0]))
-    with pytest.raises(CapabilityError):
-        spectrum(f)
+    np.testing.assert_allclose(spectrum(f), [36.0, 0.0, 0.0], atol=1e-12)
+    assert not is_bent_spectral(f)
+
+
+def nonabelian_batch(table, rng: np.random.Generator) -> list:
+    """Unimodular class functions with random class values, non-unimodular ones
+    carrying the forced magnitudes d_i/sqrt(n), and every irreducible character."""
+    group = table.group
+    n, r = group.order, table.n_irreps
+    forced = np.asarray(table.degrees) / math.sqrt(n)
+    functions = [from_values(table, unit_phases(rng, group.n_classes)[group.class_of])
+                 for _ in range(100)]
+    functions += [from_coefficients(table, forced * unit_phases(rng, r)) for _ in range(100)]
+    functions += [from_coefficients(table, row) for row in np.eye(r)]
+    return functions
+
+
+@pytest.mark.parametrize("label", ["S3", "Q8", "D4"])
+def test_spectral_verdict_matches_is_bent_on_nonabelian_groups(label):
+    table = character_table(group_from_label(label))
+    n, d = table.group.order, np.asarray(table.degrees)
+    for f in nonabelian_batch(table, np.random.default_rng(len(label) + n)):
+        # fhat(rho_i) is the scalar n * a_i / d_i
+        np.testing.assert_allclose(
+            spectrum(f), n**2 * np.abs(f.coefficients) ** 2 / d**2, rtol=0, atol=1e-12
+        )
+        assert is_bent_spectral(f) == (is_bent(f).verdict == BENT)
+
+
+@pytest.mark.parametrize("label", [*(f"Z{n}" for n in range(2, 13)), "V4", "Z2xZ4"])
+def test_abelian_spectrum_bit_identical_to_the_undivided_transform(label):
+    """On abelian groups every degree is 1, so dividing by d_i^2 is exact."""
+    table = character_table(group_from_label(label))
+    functions = verdict_batch(table, np.random.default_rng(table.group.order))
+    values = np.array([f.values for f in functions])
+    for f in functions:
+        old = np.abs(np.conj(table.phi.T) @ f.values) ** 2
+        assert spectrum(f).tobytes() == old.tobytes()
+    n, deviation = table.group.order, np.max(np.abs(np.abs(values) - 1.0), axis=1)
+    old_spectra = np.abs(values @ np.conj(table.phi)) ** 2
+    for tol in (1e-8, 1e-12, 1e-30):
+        old_flat = (deviation <= tol) & (np.max(np.abs(old_spectra - n), axis=1) <= n * tol)
+        assert oracle_verdicts(table, values, tol)[1].tolist() == old_flat.tolist()
 
 
 @pytest.mark.parametrize("label", ["S3", "Q8", "D4", "V4", "Z6"])
@@ -209,10 +249,7 @@ def test_oracle_verdicts_match_per_function_checks(label):
     for tol in (1e-8, 1e-12):
         verdicts, spectral = oracle_verdicts(table, values, tol)
         assert verdicts.tolist() == [is_bent(f, tol).verdict for f in functions]
-        if table.group.is_abelian:
-            assert spectral.tolist() == [is_bent_spectral(f, tol) for f in functions]
-        else:
-            assert spectral is None
+        assert spectral.tolist() == [is_bent_spectral(f, tol) for f in functions]
     kinds = set(oracle_verdicts(table, values)[0].tolist())
     assert {NOT_BENT, NOT_UNIMODULAR} <= kinds
     assert (BENT in kinds) == (table.group.abelian_factors == (table.group.order,))

@@ -1,4 +1,4 @@
-"""Coefficient criteria vs the derivative-sum oracle, plus the S3/Q8 systems."""
+"""Coefficient criteria vs the derivative-sum oracle, the Q8 system and the L1 certificate."""
 
 from __future__ import annotations
 
@@ -13,16 +13,17 @@ from bentgroups import (
     SequenceKind,
     SequenceSpec,
     abelian_magnitude_necessary,
-    certificate_to_json,
     character_table,
     cyclic_criterion,
     cyclic_lag_sums,
     cyclic_satisfied,
     derivative_sums,
     from_coefficients,
+    from_values,
     group_from_json,
     group_from_label,
     group_to_json,
+    impossibility_certificate,
     is_bent,
     klein_criterion,
     make_bent_cyclic,
@@ -30,8 +31,6 @@ from bentgroups import (
     make_named,
     outcome_to_json,
     q8_equation_residuals,
-    q8_necessary,
-    s3_certificate,
     solve_magnitude_system,
     solve_q8_system,
 )
@@ -347,41 +346,69 @@ def test_q8_equation_residuals_nonzero_off_solution():
     assert residuals[0] == pytest.approx(0.8, abs=1e-12)  # 4*0.2 - 8*0.2
 
 
-def test_q8_necessary_at_solution_magnitudes():
-    m, _ = solve_q8_system()
-    a = np.sqrt(m).astype(complex)
-    outcome = q8_necessary(a)
-    assert outcome.satisfied
-    bad = a.copy()
-    bad[4] = 0.5
-    outcome = q8_necessary(bad)
-    assert [label for label, _ in outcome.violations] == ["|a_5|^2"]
-
-
 def test_q8_shapes():
-    with pytest.raises(ValueError):
-        q8_necessary(np.ones(4))
     with pytest.raises(ValueError):
         q8_equation_residuals(np.ones(4))
 
 
 # ---------------------------------------------------------------------------
-# S3 impossibility certificate
+# L1 impossibility certificate
 
 
-def test_s3_certificate_values():
-    cert = s3_certificate()
-    np.testing.assert_allclose(cert.magnitudes, [1 / 6, 1 / 6, 2 / 3], atol=1e-12)
-    assert cert.cross_term == pytest.approx(-2 / 3, abs=1e-12)
-    assert cert.cs_lhs == pytest.approx(2 / 3, abs=1e-12)
-    assert cert.cs_rhs == pytest.approx(1 / 3, abs=1e-12)
-    assert cert.contradiction
-    assert cert.solve_residual < 1e-12
+def test_s3_certificate_values(s3_table):
+    cert = impossibility_certificate(s3_table)
+    assert cert.l1_norms == (6.0, 6.0, 4.0)
+    np.testing.assert_allclose(
+        cert.required, [math.sqrt(6), math.sqrt(6), 2 * math.sqrt(6)], rtol=0, atol=1e-12
+    )
+    assert cert.violated == (2,)
+    assert cert.margin == pytest.approx(2 * math.sqrt(6) - 4, abs=1e-12)
+    assert 0 < cert.residual < 1e-12  # nonzero, so a ledger at tol 1e-30 must fail
 
 
-def test_s3_certificate_rejects_absurd_tolerance():
-    with pytest.raises(RuntimeError):
-        s3_certificate(tol=1e-20)
+@pytest.mark.parametrize(
+    "label, bound",
+    [("S3", 2 * math.sqrt(6)), ("Q8", 4 * math.sqrt(2)), ("D4", 4 * math.sqrt(2))],
+    ids=["S3", "Q8", "D4"],
+)
+def test_certificate_fires_exactly_on_the_two_dimensional_character(label, bound):
+    table = character_table(group_from_label(label))
+    cert = impossibility_certificate(table)
+    n, degrees = table.group.order, np.asarray(table.degrees)
+    assert cert.violated == tuple(np.flatnonzero(degrees == 2).tolist())
+    for i in cert.violated:
+        assert cert.l1_norms[i] == pytest.approx(4.0, abs=1e-12)
+        assert cert.required[i] == pytest.approx(bound, abs=1e-12)
+    np.testing.assert_allclose(cert.required, degrees * math.sqrt(n), rtol=0, atol=1e-12)
+    # brute force: ||chi_i||_1 = sum over elements of |chi_i(x)|
+    np.testing.assert_allclose(cert.l1_norms, np.abs(table.phi).sum(axis=0), rtol=0, atol=1e-12)
+    assert cert.margin > cert.residual
+
+
+@pytest.mark.parametrize(
+    "label", ["Z1", *(f"Z{n}" for n in range(2, 13)), "Z64", "Z509", "Z512", "V4", "Z2xZ4"]
+)
+def test_certificate_never_fires_on_abelian_groups(label):
+    """Every abelian character has ||chi||_1 = n >= sqrt(n) = n * sqrt(1/n)."""
+    table = character_table(group_from_label(label))
+    cert = impossibility_certificate(table)
+    n = table.group.order
+    assert cert.violated == ()
+    np.testing.assert_allclose(cert.l1_norms, n, rtol=1e-12)
+    assert cert.margin <= 0.0
+    np.testing.assert_allclose(cert.required, math.sqrt(n), rtol=1e-12)
+
+
+@pytest.mark.parametrize("label", ["S3", "Q8", "D4"])
+def test_certificate_bound_holds_on_unimodular_class_functions(label):
+    """The inequality behind the certificate: n|a_i| <= ||chi_i||_1 whenever |f| = 1."""
+    table = character_table(group_from_label(label))
+    group = table.group
+    cert = impossibility_certificate(table)
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        f = from_values(table, np.exp(2j * np.pi * rng.random(group.n_classes))[group.class_of])
+        assert np.all(group.order * np.abs(f.coefficients) <= np.asarray(cert.l1_norms) + 1e-12)
 
 
 def test_s3_has_no_bent_function_among_character_sums(s3_table):
@@ -404,9 +431,3 @@ def test_outcome_json():
     assert obj["violations"][0][0] == "lag-1 sum"
     assert obj["tol"] == outcome.tol
 
-
-def test_certificate_json():
-    obj = certificate_to_json(s3_certificate())
-    assert obj["contradiction"] is True
-    assert obj["cs_lhs"] > obj["cs_rhs"]
-    assert len(obj["magnitudes"]) == 3

@@ -168,6 +168,8 @@ def test_label_errors():
         group_from_label("A5")
     with pytest.raises(ValueError):
         group_from_label("")
+    with pytest.raises(ValueError, match="unknown group name 'a5'"):
+        make_named("a5")
 
 
 def test_order_cap():
@@ -341,6 +343,7 @@ def test_constructors_and_tables_are_memoized():
     assert group_from_label("Z12") is g
     assert make_abelian([2, 4]) is make_abelian((2, 4)) is group_from_label("Z2xZ4")
     assert make_named("Q8") is group_from_label("q8")
+    assert make_named("s3") is make_named("S3")
     assert character_table(g) is character_table(g)
     assert len(_memos()) == 4
     assert all(memo.cache_info().maxsize for memo in _memos())  # bounded

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from bentgroups import (
     cyclic_lag_sums,
     from_coefficients,
     from_values,
+    impossibility_certificate,
     is_bent,
     is_bent_spectral,
     ledger_to_json,
@@ -36,7 +38,7 @@ EXPECTED_CLAIMS = [
     "z3-z4-closed-forms",
     "cyclic-iff-general",
     "klein-printed-conditions",
-    "s3-impossibility-certificate",
+    "impossibility-certificate",
     "s3-search-evidence",
     "q8-printed-magnitude-system",
     "q8-existence-evidence",
@@ -81,7 +83,7 @@ def test_absurd_tolerance_fails_numeric_claims():
     assert not ledger.passed
     failing = {e.claim for e in ledger.entries if e.status == "FAIL"}
     assert "character-tables" in failing
-    assert "s3-impossibility-certificate" in failing
+    assert "impossibility-certificate" in failing
     assert "z2-not-unimodular-counterexample" in failing
 
 
@@ -103,6 +105,51 @@ def test_certified_search_witness_fails_both_search_claims(monkeypatch):
     assert not result.passed
 
 
+def test_impossibility_certificate_entry(default_ledger):
+    entry = {e.claim: e for e in default_ledger.entries}["impossibility-certificate"]
+    assert "||chi||_1 = 4 < d*sqrt(n) (2*sqrt(6) on S3, 4*sqrt(2) on Q8 and D4)" in entry.statement
+    assert entry.detail.endswith(
+        "S3 chi_3: 4.000 < 4.899; Q8 chi_5: 4.000 < 5.657; D4 chi_5: 4.000 < 5.657"
+    )
+    assert 0.0 < entry.metric <= 1e-14  # the largest solver residual
+
+
+def test_impossibility_certificate_fails_below_its_residual():
+    """The certificate never raises; the claim gates its residual at tol."""
+    entry = ledger_module._claim_impossibility_certificate(1e-30)
+    assert entry.status == "FAIL" and 0.0 < entry.metric < 1e-14
+
+
+@pytest.mark.parametrize("margin", [None, 0.0])
+def test_impossibility_certificate_needs_a_violation_beyond_the_residual(monkeypatch, margin):
+    """A group with no violated character, or one whose margin the residual
+    swallows, leaves the claim unproved."""
+    def weakened(table):
+        cert = impossibility_certificate(table)
+        if margin is None:
+            return replace(cert, violated=())
+        return replace(cert, residual=cert.margin)
+
+    monkeypatch.setattr(ledger_module, "impossibility_certificate", weakened)
+    entry = ledger_module._claim_impossibility_certificate(1e-8)
+    assert entry.status == "FAIL" and entry.metric == math.inf
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-17, 1e-30])
+def test_agreement_claims_floor_their_tolerance_at_rounding(tol):
+    for seed in range(2):
+        for entry in (
+            ledger_module._claim_bent_iff(tol, seed),
+            ledger_module._claim_z3_z4(tol, seed),
+            ledger_module._claim_cyclic_general(tol, seed),
+        ):
+            if entry.claim == "z3-z4-closed-forms":
+                assert "(0 disagreements)" in entry.detail
+            else:
+                assert (entry.metric, entry.status) == (0.0, "PASS")
+            assert entry.detail.endswith("max(tol, n^2*1e-15), the rounding floor")
+
+
 def test_loose_tolerance_still_passes():
     ledger = build_ledger(tol=1e-4, budget=0)
     assert ledger.passed
@@ -117,7 +164,7 @@ def test_json_round_trip_is_deterministic():
 def test_seed_changes_evidence_metrics_only():
     base = {e.claim: e.metric for e in build_ledger(budget=250, seed=0).entries}
     other = {e.claim: e.metric for e in build_ledger(budget=250, seed=9).entries}
-    for claim in ("character-tables", "s3-impossibility-certificate",
+    for claim in ("character-tables", "impossibility-certificate",
                   "q8-printed-magnitude-system", "z2-not-unimodular-counterexample"):
         assert base[claim] == other[claim]
     assert (
