@@ -36,6 +36,17 @@ BENT = "BENT"
 NOT_BENT = "NOT_BENT"
 NOT_UNIMODULAR = "NOT_UNIMODULAR"
 
+#: Checks on a function that went through the n x n character matrix and back
+#: run at no tolerance below n^2 times this.  The round trip moves a value by
+#: up to about n^2 ulps (2.6e-14 on a Z12 Zadoff-Chu witness), so below this
+#: floor last-bit rounding, not bentness, decides a verdict.
+_ROUNDING = 1e-15
+
+
+def _rounding_tol(tol: float, n: int) -> float:
+    """``tol`` raised to the rounding floor ``n^2 * _ROUNDING`` of order ``n``."""
+    return max(tol, n * n * _ROUNDING)
+
 
 @dataclass(frozen=True, eq=False)
 class BentReport:

@@ -12,12 +12,13 @@ does not certify.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bentness import BENT, BentReport, is_bent
+from .bentness import BENT, NOT_UNIMODULAR, BentReport, _rounding_tol, is_bent
 from .characters import character_table
 from .class_functions import ClassFunction, from_coefficients, from_values
 from .errors import CapabilityError, ConstructionError
@@ -122,17 +123,31 @@ def _sequence(spec: SequenceSpec) -> np.ndarray:
 def make_bent_cyclic(spec: SequenceSpec, tol: float = 1e-8) -> CertifiedFunction:
     """Build the class function on Z_n with coefficients g/sqrt(n) and certify it.
 
+    The self-check runs at ``max(tol, n^2 * 1e-15)``, and the report records
+    that tolerance: the checked values are recomputed from the coefficients
+    through the character matrix, which moves them by up to about n^2 ulps,
+    so a tighter check would measure that rounding, not the sequence.
+    Results are memoized per ``(spec, tol)``; their arrays are read-only.
     Raises ConstructionError if the self-check does not come back BENT.
     """
+    return _make_bent_cyclic(spec, tol)
+
+
+@functools.lru_cache(maxsize=128)
+def _make_bent_cyclic(spec: SequenceSpec, tol: float) -> CertifiedFunction:
     n = spec.length
     table = character_table(make_cyclic(n))
     coefficients = _sequence(spec) / math.sqrt(n)
     f = from_coefficients(table, coefficients)
-    report = is_bent(f, tol)
+    report = is_bent(f, _rounding_tol(tol, n))
     if report.verdict != BENT:
+        if report.verdict == NOT_UNIMODULAR:
+            failure = f"unimodular deviation {report.unimodular_deviation:.3e}"
+        else:
+            failure = f"max residual {report.max_residual:.3e}"
         raise ConstructionError(
-            f"construction {spec} failed its bentness self-check: "
-            f"verdict {report.verdict}, max residual {report.max_residual:.3e}"
+            f"construction {spec} failed its bentness self-check at tol "
+            f"{report.tol:g}: verdict {report.verdict}, {failure}"
         )
     return CertifiedFunction(function=f, report=report)
 

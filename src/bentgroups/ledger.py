@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bentness import BENT, NOT_UNIMODULAR, derivative_sum, is_bent, oracle_verdicts
+from .bentness import (
+    _ROUNDING,
+    BENT,
+    NOT_UNIMODULAR,
+    _rounding_tol,
+    derivative_sum,
+    is_bent,
+    oracle_verdicts,
+)
 from .characters import _REFERENCE_TABLES, CharacterTable, character_table
 from .class_functions import from_coefficients
 from .constructions import (
@@ -81,20 +89,9 @@ def _gate(metric: float, tol: float) -> str:
     return PASS if metric <= tol else FAIL
 
 
-#: The agreement claims compare verdicts at no tolerance below n^2 times this.
-#: Their inputs pass through the n x n character matrix and back, which moves
-#: a value by up to about n^2 ulps (2.6e-14 on a Z12 Zadoff-Chu witness), so
-#: below this floor last-bit rounding, not the criterion, decides a verdict.
-_ROUNDING = 1e-15
-
-
-def _agreement_tol(tol: float, n: int) -> float:
-    return max(tol, n * n * _ROUNDING)
-
-
 def _floor_note(tol: float, n_max: int) -> str:
     """Detail suffix that names the rounding floor when it raised ``tol``."""
-    if _agreement_tol(tol, n_max) == tol:
+    if _rounding_tol(tol, n_max) == tol:
         return ""
     return f"; verdicts compared at max(tol, n^2*{_ROUNDING:g}), the rounding floor"
 
@@ -103,14 +100,34 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-def _random_coefficients(rng: np.random.Generator, n: int, kind: int) -> np.ndarray:
-    """Mixed candidate styles: Gaussian, flat-magnitude random phase, simplex."""
-    if kind == 0:
-        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2 * n)
-    if kind == 1:
-        return np.exp(2j * np.pi * rng.random(n)) / math.sqrt(n)
-    mags = rng.dirichlet(np.ones(n))
-    return np.sqrt(mags) * np.exp(2j * np.pi * rng.random(n))
+def _random_coefficients(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` candidate rows cycling through three styles: Gaussian,
+    flat-magnitude random phase, and simplex magnitudes with random phase.
+
+    The draws are made per row, in row order, so the generator stream is that
+    of one call per vector; only the complex transforms run once per style,
+    on the stacked draws, and they round exactly as they do per row.
+    """
+    gauss, flat, simplex, simplex_phases = [], [], [], []
+    ones = np.ones(n)
+    for k in range(count):
+        kind = k % 3
+        if kind == 0:
+            gauss.append(rng.standard_normal(2 * n))
+        elif kind == 1:
+            flat.append(rng.random(n))
+        else:
+            simplex.append(rng.dirichlet(ones))
+            simplex_phases.append(rng.random(n))
+    out = np.empty((count, n), dtype=complex)
+    if gauss:
+        g = np.array(gauss)
+        out[0::3] = (g[:, :n] + 1j * g[:, n:]) / math.sqrt(2 * n)
+    if flat:
+        out[1::3] = np.exp(2j * np.pi * np.array(flat)) / math.sqrt(n)
+    if simplex:
+        out[2::3] = np.sqrt(np.array(simplex)) * np.exp(2j * np.pi * np.array(simplex_phases))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +187,7 @@ def _claim_bent_iff(tol: float, seed: int) -> LedgerEntry:
         table = character_table(make_cyclic(n))
         bent = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function
         values = np.vstack((np.exp(2j * np.pi * rng.random((120, n))), bent.values))
-        verdicts, spectral = oracle_verdicts(table, values, _agreement_tol(tol, n))
+        verdicts, spectral = oracle_verdicts(table, values, _rounding_tol(tol, n))
         disagreements += int(np.sum((verdicts == BENT) != spectral))
         checked += len(values)
     return LedgerEntry(
@@ -263,7 +280,7 @@ def _printed_z3_z4_sums(a: np.ndarray) -> np.ndarray:
 
 def _criterion_vs_oracle(table: CharacterTable, a: np.ndarray, tol: float) -> int:
     """Rows of a coefficient batch on which the Z_n criterion and the oracle disagree."""
-    tol = _agreement_tol(tol, table.group.order)
+    tol = _rounding_tol(tol, table.group.order)
     verdicts, _ = oracle_verdicts(table, a @ table.phi.T, tol)
     return int(np.sum(cyclic_satisfied(a, tol) != (verdicts == BENT)))
 
@@ -274,13 +291,10 @@ def _claim_z3_z4(tol: float, seed: int) -> LedgerEntry:
     disagreements = 0
     for n in (3, 4):
         table = character_table(make_cyclic(n))
-        vectors = [
-            _random_coefficients(rng, n, kind % 3) for kind in range(200)
-        ]
-        vectors.append(
-            make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function.coefficients
-        )
-        a = np.array(vectors)
+        a = np.vstack((
+            _random_coefficients(rng, n, 200),
+            make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function.coefficients,
+        ))
         printed = _printed_z3_z4_sums(a)
         lags = cyclic_lag_sums(a)[:, : printed.shape[1]]
         worst = max(worst, float(np.max(np.abs(printed - lags))))
@@ -307,13 +321,12 @@ def _claim_cyclic_general(tol: float, seed: int) -> LedgerEntry:
     checked = 0
     for n in range(2, 13):
         table = character_table(make_cyclic(n))
-        vectors = [_random_coefficients(rng, n, kind % 3) for kind in range(150)]
-        for u in range(1, n + 1):
-            if math.gcd(u, n) == 1:
-                vectors.append(
-                    make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function.coefficients
-                )
-        a = np.array(vectors)
+        witnesses = [
+            make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function.coefficients
+            for u in range(1, n + 1)
+            if math.gcd(u, n) == 1
+        ]
+        a = np.vstack((_random_coefficients(rng, n, 150), *witnesses))
         disagreements += _criterion_vs_oracle(table, a, tol)
         checked += len(a)
     return LedgerEntry(

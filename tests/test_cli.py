@@ -199,6 +199,20 @@ def test_construct_invalid_root(capsys):
     assert "coprime" in err
 
 
+@pytest.mark.parametrize("tol", ["1e-14", "1e-15"])
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_construct_certifies_every_root_below_the_rounding_floor(capsys, n, tol):
+    """The self-check runs at max(tol, n^2 * 1e-15) and reports that tolerance."""
+    for u in range(1, n):
+        if math.gcd(u, n) != 1:
+            continue
+        code, out, err = run_cli(capsys, "construct", "zadoff-chu", str(n), str(u), "--tol", tol)
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["verdict"] == "BENT"
+        assert report["tol"] == n * n * 1e-15
+
+
 def test_construct_writes_stdout_and_file(capsys, tmp_path):
     path = tmp_path / "f.json"
     code, out, _ = run_cli(capsys, "construct", "chirp", "9", "-o", str(path))

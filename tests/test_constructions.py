@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
+import bentgroups.constructions as constructions_module
 from bentgroups import (
     BENT,
     CapabilityError,
+    ConstructionError,
     SequenceKind,
     SequenceSpec,
     TransformKind,
@@ -121,6 +124,24 @@ def test_chirp_certifies_odd_lengths():
     for n in (3, 5, 7, 9, 11, 21):
         certified = make_bent_cyclic(SequenceSpec(SequenceKind.QUADRATIC_CHIRP, n))
         assert certified.report.verdict == BENT
+
+
+@pytest.mark.parametrize(
+    "root,sequence,message",
+    [
+        (3, lambda n: 2.0 * zadoff_chu(n, 3), "NOT_UNIMODULAR, unimodular deviation 1.000e+00"),
+        (5, lambda n: math.sqrt(n) * np.eye(n)[0], "NOT_BENT, max residual 7.000e+00"),
+    ],
+)
+def test_failed_self_check_names_its_measure_and_is_not_cached(
+    monkeypatch, root, sequence, message
+):
+    spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 7, root)
+    monkeypatch.setattr(constructions_module, "_sequence", lambda s: sequence(s.length))
+    with pytest.raises(ConstructionError, match=re.escape(f"at tol 3e-08: verdict {message}")):
+        make_bent_cyclic(spec, 3e-8)
+    monkeypatch.undo()
+    assert make_bent_cyclic(spec, 3e-8).report.verdict == BENT
 
 
 def test_constructions_pass_cyclic_criterion():

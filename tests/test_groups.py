@@ -12,6 +12,8 @@ from bentgroups import (
     CATALOG,
     CapabilityError,
     Group,
+    SequenceKind,
+    SequenceSpec,
     build_ledger,
     character_table,
     conjugacy_classes,
@@ -22,11 +24,12 @@ from bentgroups import (
     inverse,
     ledger_to_json,
     make_abelian,
+    make_bent_cyclic,
     make_cyclic,
     make_named,
     multiply,
 )
-from bentgroups import characters, groups
+from bentgroups import characters, constructions, groups
 
 ALL_LABELS = ["Z1", "Z2", "Z6", "Z12", "Z2xZ3", "Z4xZ2", "S3", "Q8", "V4", "D4"]
 
@@ -331,9 +334,9 @@ def test_group_from_json_rejects_non_groups():
 def _memos() -> list:
     return [
         obj
-        for module in (groups, characters)
+        for module in (groups, characters, constructions)
         for obj in vars(module).values()
-        if hasattr(obj, "cache_clear")
+        if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
     ]
 
 
@@ -345,7 +348,10 @@ def test_constructors_and_tables_are_memoized():
     assert make_named("Q8") is group_from_label("q8")
     assert make_named("s3") is make_named("S3")
     assert character_table(g) is character_table(g)
-    assert len(_memos()) == 4
+    spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5)
+    assert make_bent_cyclic(spec) is make_bent_cyclic(spec, 1e-8)
+    assert make_bent_cyclic(spec, 1e-6) is not make_bent_cyclic(spec)
+    assert len(_memos()) == 5
     assert all(memo.cache_info().maxsize for memo in _memos())  # bounded
 
 
@@ -357,6 +363,13 @@ def test_memoized_arrays_stay_read_only():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
+    certified = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5))
+    assert certified is make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5))
+    for arr in (certified.function.values, certified.function.coefficients,
+                certified.report.residuals):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_ledger_is_identical_with_cold_and_warm_caches():
@@ -366,4 +379,5 @@ def test_ledger_is_identical_with_cold_and_warm_caches():
     cold = json.dumps(ledger_to_json(build_ledger(budget=300)), indent=2)
     warm = json.dumps(ledger_to_json(build_ledger(budget=300)), indent=2)
     assert character_table.cache_info().hits > 0
+    assert constructions._make_bent_cyclic.cache_info().hits > 0
     assert cold == warm

@@ -189,6 +189,19 @@ def zadoff_chu(n: int, u: int):
     return make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function
 
 
+def random_coefficients(rng: np.random.Generator, n: int, kind: int) -> np.ndarray:
+    """One vector per call: the loop reference for ``ledger._random_coefficients``.
+
+    Mixed candidate styles: Gaussian, flat-magnitude random phase, simplex.
+    """
+    if kind == 0:
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2 * n)
+    if kind == 1:
+        return np.exp(2j * np.pi * rng.random(n)) / math.sqrt(n)
+    mags = rng.dirichlet(np.ones(n))
+    return np.sqrt(mags) * np.exp(2j * np.pi * rng.random(n))
+
+
 def scalar_printed_sums(a: np.ndarray) -> list[complex]:
     """The displayed Z3/Z4 sums of one vector, in numpy scalar arithmetic."""
     if len(a) == 3:
@@ -226,7 +239,7 @@ def loop_z3_z4(tol: float, seed: int) -> tuple[float, int]:
     rng = ledger_module._rng(seed, 2)
     worst, disagreements = 0.0, 0
     for n in (3, 4):
-        vectors = [ledger_module._random_coefficients(rng, n, k % 3) for k in range(200)]
+        vectors = [random_coefficients(rng, n, k % 3) for k in range(200)]
         vectors.append(zadoff_chu(n, 1).coefficients)
         for a in vectors:
             printed = np.asarray(scalar_printed_sums(a))
@@ -239,17 +252,28 @@ def loop_cyclic_general(tol: float, seed: int) -> tuple[int, int]:
     rng = ledger_module._rng(seed, 3)
     disagreements = checked = 0
     for n in range(2, 13):
-        vectors = [ledger_module._random_coefficients(rng, n, k % 3) for k in range(150)]
+        vectors = [random_coefficients(rng, n, k % 3) for k in range(150)]
         vectors += [zadoff_chu(n, u).coefficients for u in range(1, n + 1) if math.gcd(u, n) == 1]
         disagreements += loop_criterion_vs_oracle(n, vectors, tol)
         checked += len(vectors)
     return disagreements, checked
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_batched_sampler_matches_per_vector_draws(n):
+    for count in (1, 2, 3, 7, 150, 200):
+        rng, reference_rng = np.random.default_rng([n, count]), np.random.default_rng([n, count])
+        batch = ledger_module._random_coefficients(rng, n, count)
+        loop = np.array([random_coefficients(reference_rng, n, k % 3) for k in range(count)])
+        assert batch.shape == (count, n)
+        assert batch.tobytes() == loop.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_batched_printed_sums_bit_identical_to_scalar_form(n):
     rng = np.random.default_rng(n)
-    a = np.array([ledger_module._random_coefficients(rng, n, k % 3) for k in range(300)])
+    a = np.array([random_coefficients(rng, n, k % 3) for k in range(300)])
     scalar = np.array([scalar_printed_sums(row) for row in a])
     assert ledger_module._printed_z3_z4_sums(a).tobytes() == scalar.tobytes()
 

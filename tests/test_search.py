@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import bentgroups.search as search_module
 from bentgroups import (
     BENT,
     SearchConfig,
@@ -43,6 +44,14 @@ def _loop_objective(table, a):
         d = np.sum(np.conj(values) * values[:, group.cayley[sigma]], axis=1)
         max_residual = np.maximum(max_residual, np.abs(d))
     return float((max_residual / group.order + gap)[0])
+
+
+def _reference_probe(table, shifts, a):
+    """The probe scorer with every step in numpy: the bits `_probe_objective` keeps."""
+    values = a[None, :] @ table.phi.T
+    gap = np.abs(np.abs(values) - 1.0).max()
+    sums = (values.conj() * values[0, shifts]).sum(axis=-1)
+    return float(np.abs(sums).max(initial=0.0) / table.group.order + gap)
 
 
 def test_config_validation():
@@ -192,3 +201,35 @@ def test_probe_scorer_is_bit_identical_to_sigma_loop(label):
     for a in _random_unit_energy(rng, 64, table.n_irreps):
         assert _probe_objective(table, shifts, a) == _loop_objective(table, a)
         assert objective(table, a) == _loop_objective(table, a)
+
+
+PROBE_GROUPS = ["S3", "Q8", "D4", "Z6", "V4"]
+
+
+@pytest.mark.parametrize("label", PROBE_GROUPS)
+def test_probe_scorer_is_bit_identical_to_reference_probe(label):
+    table = character_table(group_from_label(label))
+    shifts = _shifts(table)
+    rng = np.random.default_rng(len(label) + ord(label[-1]))
+    candidates = [*_random_unit_energy(rng, 200, table.n_irreps), np.eye(table.n_irreps)[0]]
+    for a in candidates:
+        got = np.float64(_probe_objective(table, shifts, a))
+        assert got.tobytes() == np.float64(_reference_probe(table, shifts, a)).tobytes()
+
+
+@pytest.mark.parametrize("label", PROBE_GROUPS)
+def test_objective_is_nan_for_a_nan_coefficient(label):
+    table = character_table(group_from_label(label))
+    for i in range(table.n_irreps):
+        a = np.full(table.n_irreps, 0.5, dtype=complex)
+        a[i] = complex(math.nan, 0.0)
+        assert math.isnan(objective(table, a))
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("label", ["S3", "Q8", "D4"])
+def test_search_is_identical_with_the_reference_probe(monkeypatch, label, strategy):
+    config = SearchConfig(group=label, budget=20_000, seed=1, strategy=strategy)
+    trimmed = result_to_json(run_search(config))
+    monkeypatch.setattr(search_module, "_probe_objective", _reference_probe)
+    assert result_to_json(run_search(config)) == trimmed
