@@ -1,18 +1,21 @@
-"""Irreducible character tables for the supported groups.
+"""Irreducible character tables for every group with a Cayley table.
 
-Two construction paths feed the same :class:`CharacterTable` record:
+Two routes feed the same :class:`CharacterTable` record:
 
-* abelian groups built from cyclic factors get their characters analytically,
-  as products of root-of-unity characters indexed by exponent tuples in
+* groups built from cyclic factors get their characters analytically, as
+  products of root-of-unity characters indexed by exponent tuples in
   row-major order;
-* the named nonabelian groups (and abelian groups loaded without factor
-  structure) are handled by the class-sum eigenvalue method: the class-sum
-  multiplication matrices commute, their common eigenvectors are the columns
-  of the table up to scale, and degrees are recovered from the second
-  orthogonality relation.
+* every other group (the named nonabelian groups, and any group loaded
+  without factor structure, up to 15 classes) goes through the class-sum
+  (Burnside--Dixon) eigenvalue method: the class-sum multiplication matrices
+  commute, their common eigenvectors are the columns of the table up to
+  scale, and degrees are recovered from the second orthogonality relation.
 
-Tables computed by the second path are validated entrywise against built-in
-reference tables and emitted in the reference row order.
+On the class-sum route the named groups' rows are validated entrywise against
+built-in reference tables and emitted in the reference row order; every other
+table puts the trivial character first, then sorts by degree and by rounded
+values.  On both routes the degrees are read from the identity column and
+must be integers, and the rows must be orthogonal.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, NumericDegeneracyError
-from .groups import Group, element_order
+from .groups import Group, element_order, make_named
 
 __all__ = [
     "CharacterTable",
@@ -134,12 +137,12 @@ def _class_sum_rows(group: Group) -> np.ndarray:
     """All irreducible character rows (unsorted) via common class-sum eigenvectors."""
     r = group.n_classes
     n = group.order
-    sizes = np.asarray(group.class_sizes, dtype=float)
-    mats = _class_multiplication_matrices(group)
     if r > len(_PRIMES):
         raise CapabilityError(
             f"class-sum path supports at most {len(_PRIMES)} classes, got {r}"
         )
+    sizes = np.asarray(group.class_sizes, dtype=float)
+    mats = _class_multiplication_matrices(group)
     weights = np.sqrt(np.asarray(_PRIMES[:r], dtype=float))
     mixed = np.tensordot(weights, mats.astype(float), axes=1)
     _, vecs = np.linalg.eig(mixed)
@@ -204,24 +207,18 @@ _REFERENCE_TABLES: dict[str, np.ndarray] = {
 }
 
 
-# (class size, element order) of each reference column: relabelling
-# invariants that match the columns to a group's computed classes.
-_REFERENCE_CLASS_KEYS: dict[str, tuple[tuple[int, int], ...]] = {
-    "S3": ((1, 1), (3, 2), (2, 3)),
-    "Q8": ((1, 1), (1, 2), (2, 4), (2, 4), (2, 4)),
-    "D4": ((1, 1), (2, 4), (1, 2), (2, 2), (2, 2)),
-}
-
-
 def _aligned_reference(group: Group) -> np.ndarray:
     """The named group's reference table with columns in ``group``'s class order.
 
     A relabelled copy of a named group can list its classes in another order;
-    columns are matched by (class size, element order).  Classes sharing a key
-    (Q8's i, j, k; D4's two reflection classes) are permuted by automorphisms,
-    which only permute the reference rows.
+    columns are matched by (class size, element order) against the classes of
+    :func:`make_named`.  Classes sharing a key (Q8's i, j, k; D4's two
+    reflection classes) are permuted by automorphisms, which only permute the
+    reference rows.
     """
-    free: list = list(_REFERENCE_CLASS_KEYS[group.name])
+    named = make_named(group.name)
+    free: list = [(size, element_order(named, rep))
+                  for size, rep in zip(named.class_sizes, named.class_reps)]
     columns = []
     for size, rep in zip(group.class_sizes, group.class_reps):
         key = (size, element_order(group, rep))
@@ -257,8 +254,11 @@ def _match_reference(computed: np.ndarray, reference: np.ndarray, name: str) -> 
     return out
 
 
-def _sort_abelian_rows(rows: np.ndarray) -> np.ndarray:
-    """Trivial character first, then lexicographic on rounded (re, im) values."""
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """Trivial character first, then lexicographic on rounded (re, im) values.
+
+    Column 0 is the identity class, so the rest sort by degree first.
+    """
     r = rows.shape[0]
     trivial = int(np.argmin(np.max(np.abs(rows - 1.0), axis=1)))
     if np.max(np.abs(rows[trivial] - 1.0)) > _REFERENCE_MATCH_TOL:
@@ -295,29 +295,25 @@ def character_table(group: Group) -> CharacterTable:
     Raises
     ------
     CapabilityError
-        If the group is nonabelian and not one of the named built-ins.
+        If a group without cyclic factors has more than 15 classes.
+    ValueError
+        If a named group's table deviates from its reference, or a degree is
+        not an integer, or the rows are not orthogonal.
     NumericDegeneracyError
         If the class-sum method cannot separate eigenspaces; the error lists
         the offending class sums.
     """
     if group.abelian_factors is not None:
-        phi = _abelian_phi(group.abelian_factors)
-        class_values = phi.T.copy()
-        degrees = tuple([1] * group.order)
+        class_values = _abelian_phi(group.abelian_factors).T.copy()
     elif group.name in _REFERENCE_TABLES:
         reference = _aligned_reference(group)
         class_values = _match_reference(_class_sum_rows(group), reference, group.name)
-        degrees = tuple(int(round(float(row[0].real))) for row in class_values)
-        phi = class_values[:, group.class_of].T.copy()
-    elif group.is_abelian:
-        class_values = _sort_abelian_rows(_class_sum_rows(group))
-        degrees = tuple([1] * group.order)
-        phi = class_values[:, group.class_of].T.copy()
     else:
-        raise CapabilityError(
-            f"character tables for nonabelian groups are only available for "
-            f"the named built-ins, not {group.name!r}"
-        )
+        class_values = _sort_rows(_class_sum_rows(group))
+    degrees = np.round(class_values[:, 0].real)
+    if np.max(np.abs(class_values[:, 0] - degrees)) > _REFERENCE_MATCH_TOL:
+        raise ValueError("computed character table has a non-integral degree")
+    phi = class_values[:, group.class_of].T.copy()
     _validate_row_orthogonality(group, class_values)
     class_values.setflags(write=False)
     phi.setflags(write=False)
@@ -325,7 +321,7 @@ def character_table(group: Group) -> CharacterTable:
         group=group,
         class_values=class_values,
         phi=phi,
-        degrees=degrees,
+        degrees=tuple(degrees.astype(int).tolist()),
         root_order=group.exponent,
     )
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -164,6 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"--tol must be a finite non-negative number, got {args.tol}")
         return args.func(args)
     except (ValueError, OSError, RuntimeError, IndexError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -228,16 +228,9 @@ def _build_group(
 # constructors
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def make_cyclic(n: int) -> Group:
     """Cyclic group Z_n with elements 0..n-1 under addition mod n (memoized)."""
-    if n < 1:
-        raise ValueError(f"cyclic group order must be positive, got {n}")
-    if n > MAX_ORDER:
-        raise CapabilityError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
-    idx = np.arange(n)
-    cayley = (idx[:, None] + idx[None, :]) % n
-    return _build_group(f"Z{n}", cayley, abelian_factors=(n,))
+    return make_abelian((n,))
 
 
 def make_abelian(factors: Iterable[int]) -> Group:
@@ -245,7 +238,8 @@ def make_abelian(factors: Iterable[int]) -> Group:
 
     The element with mixed-radix digits ``(t_1, .., t_k)`` over the factor
     sizes gets index ``sum(t_f * stride_f)`` where the last factor varies
-    fastest.  Memoized by the factor tuple.
+    fastest, and the name ``"(t_1,..,t_k)"``; a single factor names its
+    elements ``"0" .. "n-1"``.  Memoized by the factor tuple.
     """
     return _make_abelian(tuple(int(m) for m in factors))
 
@@ -263,64 +257,38 @@ def _make_abelian(factors: tuple[int, ...]) -> Group:
     cayley = np.ravel_multi_index(
         tuple((d[:, None] + d[None, :]) % m for d, m in zip(digits, factors)), factors
     )
-    names = ["(" + ",".join(map(str, ds)) + ")" for ds in zip(*digits)]
+    names = None
+    if len(factors) > 1:
+        names = ["(" + ",".join(map(str, ds)) + ")" for ds in zip(*digits)]
     label = "x".join(f"Z{m}" for m in factors)
     return _build_group(label, cayley, element_names=names, abelian_factors=factors)
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[x]] for x in range(len(p)))
+#: Named nonabelian groups as ``(m, twist, words, names)``: the elements are
+#: x^a y^b with x^m = 1, y x y^-1 = x^-1 and y^2 = x^twist.  Each word is the
+#: normal form "x"*a + "y"*b of one element, listed in element-index order.
+_NAMED = {
+    "S3": (3, 0, ("", "y", "xy", "xxy", "x", "xx"),
+           ("I", "(12)", "(13)", "(23)", "(123)", "(132)")),
+    "Q8": (4, 2, ("", "xx", "x", "xxx", "y", "xxy", "xy", "xxxy"),
+           ("1", "-1", "i", "-i", "j", "-j", "k", "-k")),
+    "D4": (4, 0, ("", "x", "xx", "xxx", "y", "xy", "xxy", "xxxy"),
+           ("e", "r", "r2", "r3", "s", "rs", "r2s", "r3s")),
+}
 
 
-def _make_s3() -> Group:
-    perms = [
-        (0, 1, 2),  # identity
-        (1, 0, 2),  # swap first two symbols
-        (2, 1, 0),  # swap outer symbols
-        (0, 2, 1),  # swap last two symbols
-        (1, 2, 0),  # 3-cycle
-        (2, 0, 1),  # inverse 3-cycle
-    ]
-    names = ("I", "(12)", "(13)", "(23)", "(123)", "(132)")
-    index = {p: i for i, p in enumerate(perms)}
-    cayley = np.array(
-        [[index[_compose(p, q)] for q in perms] for p in perms], dtype=np.int64
-    )
-    return _build_group("S3", cayley, element_names=names)
-
-
-def _make_q8() -> Group:
-    # elements encoded as (unit, sign) with units 1, i, j, k
-    unit_mul = {
-        (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
-        (1, 0): (1, 0), (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
-        (2, 0): (2, 0), (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
-        (3, 0): (3, 0), (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
-    }
-    names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    n = 8
-    cayley = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        ua, sa = divmod(a, 2)
-        for b in range(n):
-            ub, sb = divmod(b, 2)
-            uc, flip = unit_mul[(ua, ub)]
-            cayley[a, b] = 2 * uc + ((sa + sb + flip) % 2)
-    return _build_group("Q8", cayley, element_names=names)
-
-
-def _make_d4() -> Group:
-    # elements r^a s^b indexed a + 4b, with s r s = r^{-1}
-    n = 8
-    cayley = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        a, b = x % 4, x // 4
-        for y in range(n):
-            c, d = y % 4, y // 4
-            rot = (a + (c if b == 0 else -c)) % 4
-            cayley[x, y] = rot + 4 * ((b + d) % 2)
-    names = ("e", "r", "r2", "r3", "s", "rs", "r2s", "r3s")
-    return _build_group("D4", cayley, element_names=names)
+def _presentation(
+    name: str, m: int, twist: int, words: Sequence[str], names: Sequence[str]
+) -> Group:
+    """The group of x^a y^b, x^m = 1, y x y^-1 = x^-1, y^2 = x^twist, in ``words`` order."""
+    a = np.array([w.count("x") for w in words])
+    b = np.array([w.count("y") for w in words])
+    index = np.full(2 * m, -1)  # a word missing from the list leaves a -1 hole
+    index[a + m * b] = np.arange(len(words))
+    # x^a y^b . x^c y^d = x^(a + (-1)^b c + twist [b = d = 1]) y^(b + d)
+    power = a[:, None] + (1 - 2 * b)[:, None] * a[None, :] + twist * (b[:, None] & b[None, :])
+    cayley = index[power % m + m * (b[:, None] ^ b[None, :])]
+    return _build_group(name, cayley, element_names=names)
 
 
 def make_named(name: str) -> Group:
@@ -336,13 +304,9 @@ def make_named(name: str) -> Group:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _make_named(key: str) -> Group:
-    if key == "S3":
-        return _make_s3()
-    if key == "Q8":
-        return _make_q8()
-    if key == "D4":
-        return _make_d4()
-    return replace(make_abelian((2, 2)), name="V4")
+    if key == "V4":
+        return replace(make_abelian((2, 2)), name="V4")
+    return _presentation(key, *_NAMED[key])
 
 
 def group_from_label(label: str) -> Group:
@@ -353,10 +317,7 @@ def group_from_label(label: str) -> Group:
         return make_named(key)
     parts = key.split("X")
     if all(re.fullmatch(r"Z\d+", p) for p in parts):
-        sizes = tuple(int(p[1:]) for p in parts)
-        if len(sizes) == 1:
-            return make_cyclic(sizes[0])
-        return make_abelian(sizes)
+        return make_abelian(int(p[1:]) for p in parts)
     raise ValueError(
         f"cannot resolve group label {label!r}; expected Z<n>, a product like Z2xZ3, "
         f"or one of {', '.join(CATALOG)}"

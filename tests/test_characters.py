@@ -11,12 +11,18 @@ import numpy as np
 import pytest
 
 from bentgroups import (
+    BENT,
     CapabilityError,
     character_table,
+    from_coefficients,
+    from_values,
     group_from_json,
     group_from_label,
     group_to_json,
+    impossibility_certificate,
     inner_product,
+    is_bent,
+    is_bent_spectral,
     make_abelian,
     make_cyclic,
     make_named,
@@ -24,6 +30,9 @@ from bentgroups import (
     table_to_json,
     verify_orthogonality,
 )
+
+from bentgroups import characters
+from conftest import unit_phases
 
 W3 = cmath.exp(2j * math.pi / 3)
 
@@ -229,11 +238,53 @@ def test_named_label_on_another_group_is_rejected():
             character_table(group_from_json(obj))
 
 
-def test_unknown_nonabelian_is_rejected():
+def dihedral_json(m: int) -> dict:
+    """The dihedral group of order 2m as JSON: element a + m*b is r^a s^b."""
+    a, b = np.arange(2 * m) % m, np.arange(2 * m) // m
+    rot = (a[:, None] + np.where(b[:, None] == 0, 1, -1) * a[None, :]) % m
+    cayley = rot + m * ((b[:, None] + b[None, :]) % 2)
+    return {"name": f"D{m}", "order": 2 * m, "cayley": cayley.tolist(), "identity": 0}
+
+
+def test_unnamed_nonabelian_groups_take_the_class_sum_route():
+    """Any nonabelian Cayley table gets a validated table, not only the named ones."""
+    anon = group_to_json(make_named("S3"))
+    anon["name"] = "anon6"
+    rng = np.random.default_rng(10)
+    for obj, degrees in ((anon, (1, 1, 2)), (dihedral_json(5), (1, 1, 2, 2))):
+        group = group_from_json(obj)
+        assert group.abelian_factors is None and not group.is_abelian
+        table = character_table(group)
+        assert table.degrees == degrees
+        assert sum(d * d for d in table.degrees) == group.order
+        assert verify_orthogonality(table).passed
+        forced = np.asarray(table.degrees) / math.sqrt(group.order)
+        functions = [from_values(table, unit_phases(rng, group.n_classes)[group.class_of])
+                     for _ in range(50)]
+        functions += [from_coefficients(table, forced * unit_phases(rng, len(degrees)))
+                      for _ in range(50)]
+        for f in functions:
+            assert is_bent_spectral(f) == (is_bent(f).verdict == BENT)
+    # the L1 bound rules nothing out on D5
+    assert impossibility_certificate(table).violated == ()
+
+
+def test_non_integral_degree_is_rejected(monkeypatch):
     obj = group_to_json(make_named("S3"))
     obj["name"] = "anon6"
+    rows = characters._class_sum_rows(group_from_json(obj))
+    scaled = np.where(rows[:, :1].real > 1.5, 0.75 * rows, rows)  # degree 2 -> 1.5
+    monkeypatch.setattr(characters, "_class_sum_rows", lambda group: scaled)
+    with pytest.raises(ValueError, match="non-integral degree"):
+        character_table(group_from_json(obj))
+
+
+def test_class_sum_route_is_capped_at_15_classes():
+    obj = group_to_json(make_cyclic(16))
+    obj["name"] = "anon16"
     anon = group_from_json(obj)
-    with pytest.raises(CapabilityError):
+    assert anon.abelian_factors is None
+    with pytest.raises(CapabilityError, match="at most 15 classes"):
         character_table(anon)
 
 

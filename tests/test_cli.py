@@ -289,6 +289,30 @@ def test_verify_paper_is_byte_deterministic(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+COMMANDS = {
+    "chars": ["chars", "S3"],
+    "check": ["check", "missing.json"],
+    "construct": ["construct", "zadoff-chu", "12", "1"],
+    "search": ["search", "--group", "S3", "--budget", "100"],
+    "verify-paper": ["verify-paper", "--budget", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_invalid_tol_is_rejected_before_any_work(capsys, command):
+    for tol in ("-1", "nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, *COMMANDS[command], f"--tol={tol}")
+        assert (code, out) == (2, "")
+        # one error line, about the tolerance, not the missing check input
+        message = f"error: --tol must be a finite non-negative number, got {float(tol)}"
+        assert err.splitlines() == [message]
+
+
+def test_zero_tol_stays_valid(capsys):
+    code, _, err = run_cli(capsys, "chars", "S3", "--tol", "0")
+    assert (code, err) == (0, "")
+
+
 def test_csv_rejected_outside_chars(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify-paper", "--budget", "0", "--format", "csv")
     assert code == 2

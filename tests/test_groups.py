@@ -121,6 +121,75 @@ def test_abelian_product_crt_isomorphic_to_z6():
             assert to_z6[prod.cayley[x, y]] == z6.cayley[to_z6[x], to_z6[y]] % 6
 
 
+# ---------------------------------------------------------------------------
+# hand-written references for the presentation builder
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(p[q[x]] for x in range(len(p)))
+
+
+def reference_s3() -> tuple[np.ndarray, tuple[str, ...]]:
+    perms = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+    names = ("I", "(12)", "(13)", "(23)", "(123)", "(132)")
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[_compose(p, q)] for q in perms] for p in perms]), names
+
+
+def reference_q8() -> tuple[np.ndarray, tuple[str, ...]]:
+    # elements encoded as (unit, sign) with units 1, i, j, k
+    unit_mul = {
+        (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
+        (1, 0): (1, 0), (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
+        (2, 0): (2, 0), (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
+        (3, 0): (3, 0), (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
+    }
+    cayley = np.empty((8, 8), dtype=np.int64)
+    for a in range(8):
+        ua, sa = divmod(a, 2)
+        for b in range(8):
+            ub, sb = divmod(b, 2)
+            uc, flip = unit_mul[(ua, ub)]
+            cayley[a, b] = 2 * uc + ((sa + sb + flip) % 2)
+    return cayley, ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+
+
+def reference_d4() -> tuple[np.ndarray, tuple[str, ...]]:
+    # elements r^a s^b indexed a + 4b, with s r s = r^{-1}
+    cayley = np.empty((8, 8), dtype=np.int64)
+    for x in range(8):
+        a, b = x % 4, x // 4
+        for y in range(8):
+            c, d = y % 4, y // 4
+            cayley[x, y] = (a + (c if b == 0 else -c)) % 4 + 4 * ((b + d) % 2)
+    return cayley, ("e", "r", "r2", "r3", "s", "rs", "r2s", "r3s")
+
+
+@pytest.mark.parametrize(
+    "name,reference", [("S3", reference_s3), ("Q8", reference_q8), ("D4", reference_d4)]
+)
+def test_presentation_matches_hand_written_reference(name, reference):
+    cayley, names = reference()
+    want = groups._build_group(name, cayley, element_names=names)
+    got = make_named(name)
+    assert np.array_equal(got.cayley, want.cayley)
+    assert got.element_names == want.element_names
+    assert got.class_reps == want.class_reps
+    assert got.class_sizes == want.class_sizes
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 64, 512])
+def test_cyclic_is_the_one_factor_product(n):
+    g = make_cyclic(n)
+    assert g is make_abelian((n,))
+    assert g.element_names == tuple(str(i) for i in range(n))
+
+
+def test_one_factor_product_survives_json_round_trip():
+    g = make_abelian((6,))
+    assert group_from_json(group_to_json(g)) is g
+
+
 def test_v4_is_z2_squared():
     v4 = make_named("V4")
     sq = make_abelian((2, 2))
@@ -351,7 +420,7 @@ def test_constructors_and_tables_are_memoized():
     spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5)
     assert make_bent_cyclic(spec) is make_bent_cyclic(spec, 1e-8)
     assert make_bent_cyclic(spec, 1e-6) is not make_bent_cyclic(spec)
-    assert len(_memos()) == 5
+    assert len(_memos()) == 4
     assert all(memo.cache_info().maxsize for memo in _memos())  # bounded
 
 
