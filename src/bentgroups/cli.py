@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -103,12 +104,32 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     return 0 if ledger.passed else 1
 
 
+#: Tokens that start with '-' and that ``float()`` reads: ``-1e-3``, ``-inf``, ``-nan``.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-inf`` or ``-1e-3`` as a value.
+
+    argparse takes a token that starts with '-' for an option unless it looks
+    like ``-1`` or ``-.5``, so ``--tol -inf`` would end in a usage error
+    instead of the tolerance check in :func:`main`.  Subparsers inherit the
+    class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bentgroups",
         description="Bent class functions on small finite groups.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance")
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument(

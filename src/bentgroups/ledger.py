@@ -106,10 +106,13 @@ def _random_coefficients(rng: np.random.Generator, n: int, count: int) -> np.nda
 
     The draws are made per row, in row order, so the generator stream is that
     of one call per vector; only the complex transforms run once per style,
-    on the stacked draws, and they round exactly as they do per row.
+    on the stacked draws, and they round exactly as they do per row.  A
+    simplex row is what ``rng.dirichlet(np.ones(n))`` returns: the same n
+    standard exponential draws, summed left to right and scaled by the
+    reciprocal of the sum, so the rows and the generator state match it bit
+    for bit without its per-call validation.
     """
     gauss, flat, simplex, simplex_phases = [], [], [], []
-    ones = np.ones(n)
     for k in range(count):
         kind = k % 3
         if kind == 0:
@@ -117,7 +120,7 @@ def _random_coefficients(rng: np.random.Generator, n: int, count: int) -> np.nda
         elif kind == 1:
             flat.append(rng.random(n))
         else:
-            simplex.append(rng.dirichlet(ones))
+            simplex.append(rng.standard_exponential(n))
             simplex_phases.append(rng.random(n))
     out = np.empty((count, n), dtype=complex)
     if gauss:
@@ -126,7 +129,12 @@ def _random_coefficients(rng: np.random.Generator, n: int, count: int) -> np.nda
     if flat:
         out[1::3] = np.exp(2j * np.pi * np.array(flat)) / math.sqrt(n)
     if simplex:
-        out[2::3] = np.sqrt(np.array(simplex)) * np.exp(2j * np.pi * np.array(simplex_phases))
+        draws = np.array(simplex)
+        total = draws[:, 0].copy()
+        for column in draws.T[1:]:
+            total += column
+        magnitudes = draws * (1.0 / total)[:, None]
+        out[2::3] = np.sqrt(magnitudes) * np.exp(2j * np.pi * np.array(simplex_phases))
     return out
 
 

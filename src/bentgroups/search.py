@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bentness import BENT, BentReport, is_bent, report_to_json
+from .bentness import BENT, BentReport, _row_max, is_bent, report_to_json
 from .characters import CharacterTable, character_table
 from .class_functions import from_coefficients
 from .constructions import quadratic_chirp, zadoff_chu
@@ -128,9 +128,9 @@ def _batch_objective(table: CharacterTable, batch: np.ndarray) -> np.ndarray:
     Class 0 is the identity class and is left out of the residual.
     """
     class_values = table.class_values
-    gaps = np.max(np.abs(np.abs(batch @ class_values) - 1.0), axis=1)
+    gaps = _row_max(np.abs(np.abs(batch @ class_values) - 1.0))
     weights = np.abs(batch) ** 2 / np.asarray(table.degrees)
-    residuals = np.max(np.abs(weights @ class_values[:, 1:]), axis=1, initial=0.0)
+    residuals = _row_max(np.abs(weights @ class_values[:, 1:]), initial=0.0)
     return residuals + gaps
 
 
@@ -204,6 +204,9 @@ class _Transcript:
     def histogram(self) -> tuple[float, ...]:
         """The 0%, 10%, ..., 100% quantiles of every evaluated objective."""
         values = np.concatenate([*self.batch_values, np.asarray(self.probe_values)])
+        # sorting moves no order statistic, so the quantiles keep their bits;
+        # np.quantile's own partition of unsorted values is the slower route
+        values.sort()
         return tuple(np.quantile(values, np.linspace(0, 1, 11)).tolist())
 
     def record_batch(self, batch: np.ndarray) -> None:

@@ -29,6 +29,7 @@ from bentgroups import (
     report_to_json,
     spectrum,
 )
+from bentgroups.bentness import _row_max
 
 from conftest import brute_derivative_sums, brute_right_sums, brute_spectrum, unit_phases
 
@@ -253,6 +254,54 @@ def test_oracle_verdicts_match_per_function_checks(label):
     kinds = set(oracle_verdicts(table, values)[0].tolist())
     assert {NOT_BENT, NOT_UNIMODULAR} <= kinds
     assert (BENT in kinds) == (table.group.abelian_factors == (table.group.order,))
+
+
+def oracle_rows(table, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three arrays ``oracle_verdicts`` takes row maxima of: unimodular
+    deviations, residual magnitudes and spectral gaps."""
+    group = table.group
+    n = group.order
+    sums = (values[:, group.cayley] @ np.conj(values)[:, :, None])[:, :, 0]
+    spectra = np.abs(values @ np.conj(table.phi)) ** 2 / np.square(table.degrees)
+    return (
+        np.abs(np.abs(values) - 1.0),
+        np.abs(sums[:, np.arange(n) != group.identity]),
+        np.abs(spectra - n),
+    )
+
+
+def axis_max_oracle_verdicts(table, values: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
+    """``oracle_verdicts`` with its row maxima as ``np.max(..., axis=1)``,
+    the form the column folds replaced."""
+    n = table.group.order
+    deviations, residuals, gaps = oracle_rows(table, values)
+    deviation = np.max(deviations, axis=1)
+    max_residual = np.max(residuals, axis=1, initial=0.0)
+    verdicts = np.where(
+        deviation > tol, NOT_UNIMODULAR, np.where(max_residual <= n * tol, BENT, NOT_BENT)
+    )
+    flat = (deviation <= tol) & (np.max(gaps, axis=1) <= n * tol)
+    return verdicts.tolist(), flat
+
+
+@pytest.mark.parametrize("label", ["Z1", "Z2", "Z6", "Z12", "Z2xZ4", "V4", "S3", "Q8", "D4"])
+def test_oracle_verdicts_bit_identical_to_axis_max_form(label):
+    table = character_table(group_from_label(label))
+    functions = verdict_batch(table, np.random.default_rng(table.group.order + 5))
+    values = np.array([f.values for f in functions] + [functions[0].values])
+    values[-1, -1] = complex(math.nan, 0.0)
+    deviations, residuals, gaps = oracle_rows(table, values)
+    assert _row_max(deviations).tobytes() == np.max(deviations, axis=1).tobytes()
+    assert _row_max(residuals, initial=0.0).tobytes() == (
+        np.max(residuals, axis=1, initial=0.0).tobytes()
+    )
+    assert _row_max(gaps).tobytes() == np.max(gaps, axis=1).tobytes()
+    # a tolerance equal to a row's deviation flips that row on a last-bit change
+    for tol in (0.0, 1e-12, 1e-8, *np.max(deviations, axis=1)[:8].tolist()):
+        verdicts, flat = oracle_verdicts(table, values, tol)
+        reference_verdicts, reference_flat = axis_max_oracle_verdicts(table, values, tol)
+        assert verdicts.tolist() == reference_verdicts
+        assert flat.tobytes() == reference_flat.tobytes()
 
 
 def test_oracle_verdicts_share_the_rule_on_non_finite_values(z3_table):

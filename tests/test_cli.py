@@ -300,12 +300,15 @@ COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_invalid_tol_is_rejected_before_any_work(capsys, command):
-    for tol in ("-1", "nan", "inf", "-inf"):
-        code, out, err = run_cli(capsys, *COMMANDS[command], f"--tol={tol}")
-        assert (code, out) == (2, "")
-        # one error line, about the tolerance, not the missing check input
-        message = f"error: --tol must be a finite non-negative number, got {float(tol)}"
-        assert err.splitlines() == [message]
+    tols = ("-1", "-1e-3", "-.5E+1", "nan", "-NaN", "inf", "-inf", "-Infinity")
+    for tol in tols:
+        # the "=" form, the space-separated form and an abbreviated option
+        for spelling in ([f"--tol={tol}"], ["--tol", tol], ["--to", tol]):
+            code, out, err = run_cli(capsys, *COMMANDS[command], *spelling)
+            assert (code, out) == (2, "")
+            # one error line, about the tolerance, not the missing check input
+            message = f"error: --tol must be a finite non-negative number, got {float(tol)}"
+            assert err.splitlines() == [message]
 
 
 def test_zero_tol_stays_valid(capsys):

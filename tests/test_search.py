@@ -193,6 +193,45 @@ def test_batch_scorer_matches_derivative_sum_oracle(label):
     np.testing.assert_allclose(_batch_objective(table, batch), expected, rtol=0, atol=1e-12)
 
 
+def axis_max_batch_objective(table, batch):
+    """``_batch_objective`` with its row maxima as ``np.max(..., axis=1)``,
+    the form the column folds replaced."""
+    class_values = table.class_values
+    gaps = np.max(np.abs(np.abs(batch @ class_values) - 1.0), axis=1)
+    weights = np.abs(batch) ** 2 / np.asarray(table.degrees)
+    residuals = np.max(np.abs(weights @ class_values[:, 1:]), axis=1, initial=0.0)
+    return residuals + gaps
+
+
+@pytest.mark.parametrize("label", ORACLE_GROUPS)
+def test_batch_scorer_bit_identical_to_axis_max_form(label):
+    table = character_table(group_from_label(label))
+    r = table.n_irreps
+    rng = np.random.default_rng(sum(map(ord, label)) + 1)
+    batch = np.vstack((_random_unit_energy(rng, 2048, r), np.eye(r), np.full((1, r), 0.5)))
+    batch[-1, -1] = complex(math.nan, 0.0)
+    got = _batch_objective(table, batch)
+    assert math.isnan(got[-1])
+    assert got.tobytes() == axis_max_batch_objective(table, batch).tobytes()
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_histogram_bit_identical_to_unsorted_quantiles(monkeypatch, strategy):
+    quantiles = []
+
+    class UnsortedQuantiles(search_module._Transcript):
+        def histogram(self):
+            values = np.concatenate([*self.batch_values, np.asarray(self.probe_values)])
+            assert len(values) == self.evaluations and np.any(np.diff(values) < 0)
+            quantiles.append(np.quantile(values, np.linspace(0, 1, 11)))
+            return super().histogram()
+
+    monkeypatch.setattr(search_module, "_Transcript", UnsortedQuantiles)
+    result = run_search(SearchConfig(group="S3", budget=100_000, seed=0, strategy=strategy))
+    assert len(quantiles) == 1
+    assert np.array(result.histogram).tobytes() == quantiles[0].tobytes()
+
+
 @pytest.mark.parametrize("label", ORACLE_GROUPS)
 def test_probe_scorer_is_bit_identical_to_sigma_loop(label):
     table = character_table(group_from_label(label))
