@@ -6,6 +6,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,3 +330,29 @@ def test_every_claim_appears_once(capsys):
     _, out, _ = run_cli(capsys, "verify-paper", "--budget", "0")
     claims = [e["claim"] for e in json.loads(out)["entries"]]
     assert len(claims) == len(set(claims)) == 12
+
+
+#: Runs chars, construct and check in one fresh interpreter, then prints the
+#: exit codes and which of two slow-to-import numpy modules got loaded.
+_COLD_RUN = """
+import contextlib, io, sys
+from bentgroups.cli import main
+path = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["chars", "Z64"]), main(["construct", "zadoff-chu", "64", "5", "-o", path]),
+             main(["check", path])]
+print(codes, [name for name in ("numpy.random", "numpy.ma") if name in sys.modules])
+"""
+
+
+def test_cold_commands_leave_numpy_random_and_ma_unimported(tmp_path):
+    """Their first import costs a fresh process tens of milliseconds."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, str(tmp_path / "z64.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0] []\n"

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bentgroups import (
     CATALOG,
@@ -394,6 +397,116 @@ def test_group_from_json_rejects_non_groups():
         obj = {"name": "Z5", "order": len(table), "cayley": table, "identity": 0}
         with pytest.raises(ValueError):
             group_from_json(obj)
+
+
+def _z2_json(**fields) -> dict:
+    obj = {"name": "Z2", "order": 2, "cayley": [[0, 1], [1, 0]], "identity": 0}
+    obj.update(fields)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _z2_json(cayley=[[0, 1], [1, 1.7]]),
+        _z2_json(cayley=[[0, 1], [1, True]]),
+        _z2_json(cayley=[[0, 1], [1, "1"]]),
+        _z2_json(cayley=[[0, 1], [1, 1e300]]),
+        _z2_json(cayley=[[0, 1], [1, 2**70]]),
+        _z2_json(cayley=[[0, 1], [1]]),
+        _z2_json(cayley="01"),
+        _z2_json(order="2"),
+        _z2_json(order=2.5),
+        _z2_json(order=True),
+        _z2_json(identity="0"),
+        _z2_json(identity=0.0),
+        _z2_json(identity=False),
+        {"name": "Z2", "order": 2, "cayley": [[0, 1], [1, 0]]},
+    ],
+    ids=[
+        "float-entry", "bool-entry", "str-entry", "huge-float-entry", "huge-int-entry",
+        "ragged", "str-table", "str-order", "float-order", "bool-order",
+        "str-identity", "float-identity", "bool-identity", "missing-identity",
+    ],
+)
+def test_group_from_json_rejects_malformed_fields(obj):
+    """Order, identity and table entries must be JSON integers, never coerced."""
+    with pytest.raises(ValueError, match="^malformed group JSON: "):
+        group_from_json(obj)
+
+
+def _exhaustive_failures(table: np.ndarray) -> np.ndarray:
+    """Every triple (x, y, z) with (x y) z != x (y z), checked over all n^3."""
+    return np.argwhere(table[table, :] != table[:, table])
+
+
+def _assert_reported_triple_fails(table: np.ndarray, message: str) -> None:
+    match = re.fullmatch(r"associativity fails at triple \((\d+), (\d+), (\d+)\)", message)
+    assert match, message
+    x, s, y = map(int, match.groups())
+    assert table[table[x, s], y] != table[x, table[s, y]]
+
+
+@pytest.mark.parametrize(
+    "n,i,j,value",
+    [(256, 100, 200, 17), (256, 254, 253, 5), (512, 3, 5, 11), (512, 7, 9, 2), (512, 100, 200, 17)],
+)
+def test_corrupted_large_tables_are_rejected(n, i, j, value):
+    """Single-entry corruptions that a sample of random triples can miss."""
+    obj = group_to_json(make_cyclic(n))
+    obj["name"] = "anon"
+    obj["cayley"][i][j] = value
+    with pytest.raises(ValueError, match="associativity fails at triple") as info:
+        group_from_json(obj)
+    _assert_reported_triple_fails(np.array(obj["cayley"]), str(info.value))
+
+
+def _direct_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The table of pairs (i, j), indexed i * len(b) + j, multiplied componentwise."""
+    m, k = len(a), len(b)
+    return (a[:, None, :, None] * k + b[None, :, None, :]).reshape(m * k, m * k)
+
+
+#: Group tables of order <= 12, plus loops on which associativity can hold at
+#: the first greedy generator and fail only at a later one.
+SMALL_TABLES = [
+    *(group_from_label(label).cayley for label in (
+        *CATALOG, *(f"Z{n}" for n in range(1, 13)), "Z2xZ2xZ2", "Z2xZ4", "Z2xZ6", "Z3xZ3",
+    )),
+    np.array(NONASSOCIATIVE_LOOP),
+    _direct_product(make_cyclic(2).cayley, np.array(NONASSOCIATIVE_LOOP)),
+]
+
+
+@st.composite
+def near_group_tables(draw) -> np.ndarray:
+    """A relabelled table from ``SMALL_TABLES``, with one entry perhaps changed."""
+    base = draw(st.sampled_from(SMALL_TABLES))
+    n = len(base)
+    perm = np.array(draw(st.permutations(range(n))))
+    table = np.empty_like(base)
+    table[np.ix_(perm, perm)] = perm[base]
+    if draw(st.booleans()):
+        i, j, value = (draw(st.integers(0, n - 1)) for _ in range(3))
+        table[i, j] = value
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_group_tables())
+def test_light_test_agrees_with_exhaustive_check(table):
+    try:
+        identity = groups._find_identity(table)
+        groups._find_inverses(table, identity)
+    except ValueError:
+        assume(False)
+    try:
+        groups._check_associativity(table, identity)
+    except ValueError as exc:
+        _assert_reported_triple_fails(table, str(exc))
+        assert len(_exhaustive_failures(table))
+    else:
+        assert not len(_exhaustive_failures(table))
 
 
 # ---------------------------------------------------------------------------
