@@ -45,12 +45,10 @@ from .constructions import (
     CertifiedFunction,
     SequenceKind,
     SequenceSpec,
-    TransformKind,
     character_twist,
     global_phase,
     make_bent_cyclic,
     quadratic_chirp,
-    transform,
     translate,
     zadoff_chu,
 )
@@ -78,12 +76,10 @@ from .groups import (
     group_from_label,
     group_to_json,
     inverse,
-    load_group,
     make_abelian,
     make_cyclic,
     make_named,
     multiply,
-    save_group,
 )
 from .ledger import LedgerEntry, PaperLedger, build_ledger, ledger_to_json
 from .search import (

@@ -24,11 +24,11 @@ import json
 import math
 import re
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .bentness import BENT, is_bent, report_to_json
 from .characters import character_table, table_to_csv, table_to_json
-from .class_functions import class_function_from_json, class_function_to_json
+from .class_functions import class_function_to_json, load_class_function
 from .constructions import SequenceKind, SequenceSpec, make_bent_cyclic
 from .groups import group_from_label
 from .ledger import DEFAULT_BUDGET, build_ledger, ledger_to_json
@@ -64,9 +64,7 @@ def _cmd_chars(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     _require_json(args)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    f = class_function_from_json(payload)
+    f = load_class_function(args.input)
     report = is_bent(f, args.tol)
     _emit(_dumps(report_to_json(report)), args.output)
     return 0 if report.verdict == BENT else 1
@@ -115,13 +113,17 @@ class _Parser(argparse.ArgumentParser):
 
     argparse takes a token that starts with '-' for an option unless it looks
     like ``-1`` or ``-.5``, so ``--tol -inf`` would end in a usage error
-    instead of the tolerance check in :func:`main`.  Subparsers inherit the
-    class.
+    instead of the tolerance check in :func:`main`.  A usage error becomes a
+    ValueError, which :func:`main` prints as its one ``error:`` line.
+    Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,8 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"--tol must be a finite non-negative number, got {args.tol}")
         return args.func(args)

@@ -28,12 +28,10 @@ __all__ = [
     "CertifiedFunction",
     "SequenceKind",
     "SequenceSpec",
-    "TransformKind",
     "character_twist",
     "global_phase",
     "make_bent_cyclic",
     "quadratic_chirp",
-    "transform",
     "translate",
     "zadoff_chu",
 ]
@@ -42,6 +40,21 @@ __all__ = [
 class SequenceKind(str, enum.Enum):
     ZADOFF_CHU = "zadoff-chu"
     QUADRATIC_CHIRP = "chirp"
+
+
+def _check_sequence(kind: SequenceKind, length: int, root: int = 1) -> None:
+    """The one validator of SequenceSpec, zadoff_chu and quadratic_chirp arguments."""
+    if length < 1:
+        raise ValueError(f"sequence length must be positive, got {length}")
+    if not isinstance(kind, SequenceKind):
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    if kind is SequenceKind.ZADOFF_CHU and math.gcd(root, length) != 1:
+        raise ValueError(
+            f"Zadoff-Chu root must be coprime to the length; "
+            f"gcd({root}, {length}) = {math.gcd(root, length)}"
+        )
+    if kind is SequenceKind.QUADRATIC_CHIRP and length % 2 == 0:
+        raise ValueError(f"quadratic chirps require odd length, got {length}")
 
 
 @dataclass(frozen=True)
@@ -57,21 +70,7 @@ class SequenceSpec:
     root: int = 1
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"sequence length must be positive, got {self.length}")
-        if self.kind is SequenceKind.ZADOFF_CHU:
-            if math.gcd(self.root, self.length) != 1:
-                raise ValueError(
-                    f"Zadoff-Chu root must be coprime to the length; "
-                    f"gcd({self.root}, {self.length}) = {math.gcd(self.root, self.length)}"
-                )
-        elif self.kind is SequenceKind.QUADRATIC_CHIRP:
-            if self.length % 2 == 0:
-                raise ValueError(
-                    f"quadratic chirps require odd length, got {self.length}"
-                )
-        else:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
+        _check_sequence(self.kind, self.length, self.root)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +88,7 @@ def zadoff_chu(n: int, u: int) -> np.ndarray:
     The parity split keeps the sequence n-periodic and drives every nonzero
     cyclic autocorrelation lag to zero.
     """
-    if n < 1:
-        raise ValueError(f"sequence length must be positive, got {n}")
-    if math.gcd(u, n) != 1:
-        raise ValueError(
-            f"Zadoff-Chu root must be coprime to the length; "
-            f"gcd({u}, {n}) = {math.gcd(u, n)}"
-        )
+    _check_sequence(SequenceKind.ZADOFF_CHU, n, u)
     k = np.arange(n)
     if n % 2:
         phase = -np.pi * u * k * (k + 1) / n
@@ -106,10 +99,7 @@ def zadoff_chu(n: int, u: int) -> np.ndarray:
 
 def quadratic_chirp(n: int) -> np.ndarray:
     """Quadratic chirp g_k = omega^(k^2), omega = exp(2*pi*i/n), odd n only."""
-    if n < 1:
-        raise ValueError(f"sequence length must be positive, got {n}")
-    if n % 2 == 0:
-        raise ValueError(f"quadratic chirps require odd length, got {n}")
+    _check_sequence(SequenceKind.QUADRATIC_CHIRP, n)
     k = np.arange(n)
     return np.exp(2j * np.pi * ((k * k) % n) / n)
 
@@ -156,12 +146,6 @@ def _make_bent_cyclic(spec: SequenceSpec, tol: float) -> CertifiedFunction:
 # bentness-preserving transforms
 
 
-class TransformKind(str, enum.Enum):
-    GLOBAL_PHASE = "global-phase"
-    TRANSLATE = "translate"
-    CHARACTER_TWIST = "character-twist"
-
-
 def global_phase(f: ClassFunction, c: complex) -> ClassFunction:
     """Multiply every value by a fixed unit-modulus constant."""
     if abs(abs(c) - 1.0) > 1e-9:
@@ -191,13 +175,3 @@ def character_twist(f: ClassFunction, i: int) -> ClassFunction:
             f"chi_{i + 1} has degree {table.degrees[i]}"
         )
     return from_values(table, f.values * table.phi[:, i])
-
-
-def transform(f: ClassFunction, kind: TransformKind, value) -> ClassFunction:
-    """Dispatch one of the three bentness-preserving transforms."""
-    kind = TransformKind(kind)
-    if kind is TransformKind.GLOBAL_PHASE:
-        return global_phase(f, value)
-    if kind is TransformKind.TRANSLATE:
-        return translate(f, value)
-    return character_twist(f, value)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -33,12 +32,10 @@ __all__ = [
     "group_from_label",
     "group_to_json",
     "inverse",
-    "load_group",
     "make_abelian",
     "make_cyclic",
     "make_named",
     "multiply",
-    "save_group",
 ]
 
 MAX_ORDER = 512
@@ -424,14 +421,3 @@ def group_from_json(obj: dict) -> Group:
             f"declared identity {identity} does not match computed {group.identity}"
         )
     return group
-
-
-def load_group(path: str) -> Group:
-    with open(path, "r", encoding="utf-8") as fh:
-        return group_from_json(json.load(fh))
-
-
-def save_group(group: Group, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(group_to_json(group), fh, indent=2)
-        fh.write("\n")

@@ -30,9 +30,10 @@ from .class_functions import from_coefficients
 from .constructions import (
     SequenceKind,
     SequenceSpec,
-    TransformKind,
+    character_twist,
+    global_phase,
     make_bent_cyclic,
-    transform,
+    translate,
 )
 from .criteria import (
     abelian_magnitude_necessary,
@@ -363,11 +364,11 @@ def _claim_klein_remark(tol: float, seed: int) -> LedgerEntry:
     for _ in range(50):
         kind = int(rng.integers(0, 3))
         if kind == 0:
-            f = transform(f, TransformKind.GLOBAL_PHASE, np.exp(2j * np.pi * rng.random()))
+            f = global_phase(f, np.exp(2j * np.pi * rng.random()))
         elif kind == 1:
-            f = transform(f, TransformKind.TRANSLATE, int(rng.integers(0, 4)))
+            f = translate(f, int(rng.integers(0, 4)))
         else:
-            f = transform(f, TransformKind.CHARACTER_TWIST, int(rng.integers(0, 4)))
+            f = character_twist(f, int(rng.integers(0, 4)))
         if is_bent(f, tol).verdict != BENT:
             worst = math.inf
             break

@@ -157,16 +157,12 @@ def _seed_candidates(table: CharacterTable) -> list[np.ndarray]:
 
 def _golden_section(
     fun: Callable[[float], float], lo: float, hi: float, max_evals: int
-) -> tuple[float, float, int]:
-    """Minimize a unimodal-ish scalar function; returns (x, f(x), evals used)."""
-    if max_evals < 2:
-        mid = 0.5 * (lo + hi)
-        return mid, fun(mid), 1
+) -> tuple[float, float]:
+    """Minimize a unimodal-ish scalar function in max_evals >= 2 calls; returns (x, f(x))."""
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = fun(c), fun(d)
-    evals = 2
-    while evals < max_evals:
+    for _ in range(max_evals - 2):
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -175,8 +171,18 @@ def _golden_section(
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
             fd = fun(d)
-        evals += 1
-    return (c, fc, evals) if fc <= fd else (d, fd, evals)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _rescale(mags: np.ndarray, i: int, t: float) -> np.ndarray:
+    """Unit-sum squared magnitudes with share i set to t and the rest scaled to match."""
+    others = 1.0 - mags[i]
+    if others > 1e-15:
+        m = mags * ((1.0 - t) / others)
+    else:
+        m = np.full(len(mags), (1.0 - t) / (len(mags) - 1))
+    m[i] = t
+    return m
 
 
 class _Transcript:
@@ -236,68 +242,45 @@ def _refine(transcript: _Transcript, start: np.ndarray, local_budget: int) -> No
     r = len(start)
     a = start.copy()
     best = transcript.best_objective
-    stop_at = transcript.evaluations + local_budget
+    stop_at = min(transcript.evaluations + local_budget, transcript.budget)
 
-    def left(cap: int) -> int:
-        return max(0, min(cap, stop_at - transcript.evaluations, transcript.remaining))
+    def line_search(vector: Callable[[float], np.ndarray], lo: float, hi: float) -> float | None:
+        """Golden-section search of vector(x) over [lo, hi]: the x that improves on
+        best, or None, also when the budget or the tolerance leaves no search."""
+        nonlocal best
+        cap = min(_GOLDEN_ITERS, stop_at - transcript.evaluations)
+        if cap >= 2 and transcript.best_objective > transcript.tol:
+            x, obj = _golden_section(lambda x: transcript.evaluate(vector(x)), lo, hi, cap)
+            if obj < best - 1e-15:
+                best = obj
+                return x
+        return None
 
-    while left(2) >= 2 and transcript.best_objective > transcript.tol:
+    improved = True
+    while improved:
         improved = False
         for i in range(r):
-            cap = left(_GOLDEN_ITERS)
-            if cap < 2 or transcript.best_objective <= transcript.tol:
-                break
             theta0 = float(np.angle(a[i]))
             radius = abs(a[i])
 
-            def phase_probe(theta: float) -> float:
+            def turned(theta: float) -> np.ndarray:
                 b = a.copy()
                 b[i] = radius * complex(math.cos(theta), math.sin(theta))
-                return transcript.evaluate(b)
+                return b
 
-            theta, obj, _ = _golden_section(
-                phase_probe, theta0 - math.pi, theta0 + math.pi, cap
-            )
-            if obj < best - 1e-15:
-                a[i] = radius * complex(math.cos(theta), math.sin(theta))
-                best = obj
-                improved = True
+            theta = line_search(turned, theta0 - math.pi, theta0 + math.pi)
+            if theta is not None:
+                a, improved = turned(theta), True
         mags = np.abs(a) ** 2
         radii = np.abs(a)
         phases = np.where(radii > 0, a / np.maximum(radii, 1e-300), 1.0)
-        for i in range(r):
-            if r == 1:
-                break
-            cap = left(_GOLDEN_ITERS)
-            if cap < 2 or transcript.best_objective <= transcript.tol:
-                break
-
-            def magnitude_probe(t: float) -> float:
-                m = mags.copy()
-                others = 1.0 - m[i]
-                if others > 1e-15:
-                    scale = (1.0 - t) / others
-                    m *= scale
-                else:
-                    m[:] = (1.0 - t) / (r - 1)
-                m[i] = t
-                # t lies in [0, 1], so every m is >= +0 and sqrt needs no clip
-                b = np.sqrt(m) * phases
-                return transcript.evaluate(b)
-
-            t, obj, _ = _golden_section(magnitude_probe, 0.0, 1.0, cap)
-            if obj < best - 1e-15:
-                others = 1.0 - mags[i]
-                if others > 1e-15:
-                    mags *= (1.0 - t) / others
-                else:
-                    mags[:] = (1.0 - t) / (r - 1)
-                mags[i] = t
-                a = np.sqrt(mags) * phases
-                best = obj
-                improved = True
-        if not improved:
-            break
+        # a single coefficient's magnitude is pinned to 1 by the energy constraint
+        for i in range(r if r > 1 else 0):
+            # t lies in [0, 1], so every share is >= +0 and sqrt needs no clip
+            t = line_search(lambda t: np.sqrt(_rescale(mags, i, t)) * phases, 0.0, 1.0)
+            if t is not None:
+                mags = _rescale(mags, i, t)
+                a, improved = np.sqrt(mags) * phases, True
 
 
 def run_search(config: SearchConfig) -> SearchResult:

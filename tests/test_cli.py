@@ -48,6 +48,14 @@ def test_chars_csv(capsys):
     assert out.splitlines()[0].startswith("character,")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_chars_writes_the_printed_table_to_a_file(capsys, tmp_path, fmt):
+    path = tmp_path / f"S3.{fmt}"
+    code, out, _ = run_cli(capsys, "chars", "S3", "--format", fmt, "-o", str(path))
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == out
+
+
 def test_chars_s3_is_integer_table(capsys):
     code, out, _ = run_cli(capsys, "chars", "S3")
     values = [
@@ -313,6 +321,25 @@ def test_invalid_tol_is_rejected_before_any_work(capsys, command):
             # one error line, about the tolerance, not the missing check input
             message = f"error: --tol must be a finite non-negative number, got {float(tol)}"
             assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chars"],
+        ["chars", "S3", "--bogus"],
+        ["search", "--group", "S3", "--strategy", "foo"],
+        ["construct", "zadoff-chu", "12", "x"],
+        ["nosuch"],
+    ],
+    ids=["missing-positional", "unknown-option", "bad-choice", "bad-int", "unknown-command"],
+)
+def test_usage_errors_print_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_zero_tol_stays_valid(capsys):

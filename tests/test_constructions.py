@@ -16,7 +16,6 @@ from bentgroups import (
     ConstructionError,
     SequenceKind,
     SequenceSpec,
-    TransformKind,
     character_table,
     character_twist,
     cyclic_criterion,
@@ -27,10 +26,10 @@ from bentgroups import (
     make_bent_cyclic,
     quadratic_chirp,
     spectrum,
-    transform,
     translate,
     zadoff_chu,
 )
+from bentgroups.cli import main as cli_main
 
 from conftest import brute_lag_sums
 
@@ -90,6 +89,45 @@ def test_spec_validation():
     spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 6, 5)
     assert spec.root == 5
     assert SequenceKind("chirp") is SequenceKind.QUADRATIC_CHIRP
+
+
+@pytest.mark.parametrize("entry", ["spec", "function", "cli"])
+@pytest.mark.parametrize(
+    "kind, n, root, message",
+    [
+        (SequenceKind.ZADOFF_CHU, 0, 1, "sequence length must be positive, got 0"),
+        (SequenceKind.QUADRATIC_CHIRP, 4, 1, "quadratic chirps require odd length, got 4"),
+        (
+            SequenceKind.ZADOFF_CHU,
+            6,
+            3,
+            "Zadoff-Chu root must be coprime to the length; gcd(3, 6) = 3",
+        ),
+    ],
+    ids=["length-0", "even-chirp", "root-not-coprime"],
+)
+def test_every_entry_point_rejects_a_sequence_with_the_same_message(
+    capsys, entry, kind, n, root, message
+):
+    if entry == "cli":
+        assert cli_main(["construct", kind.value, str(n), str(root)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        return
+    with pytest.raises(ValueError) as excinfo:
+        if entry == "spec":
+            SequenceSpec(kind, n, root)
+        elif kind is SequenceKind.ZADOFF_CHU:
+            zadoff_chu(n, root)
+        else:
+            quadratic_chirp(n)
+    assert str(excinfo.value) == message
+
+
+def test_spec_rejects_an_unknown_kind():
+    with pytest.raises(ValueError) as excinfo:
+        SequenceSpec("bogus", 5)
+    assert str(excinfo.value) == "unknown sequence kind 'bogus'"
 
 
 def test_make_bent_cyclic_certifies():
@@ -188,13 +226,6 @@ def test_character_twist_rejects_higher_degree(s3_table):
     f = from_coefficients(s3_table, np.ones(3) / math.sqrt(3))
     with pytest.raises(CapabilityError, match="degree 2"):
         character_twist(f, 2)
-
-
-def test_transform_dispatch(bent_z8):
-    g = transform(bent_z8, TransformKind.GLOBAL_PHASE, -1.0)
-    g = transform(g, "translate", 3)
-    g = transform(g, TransformKind.CHARACTER_TWIST, 2)
-    assert is_bent(g).verdict == BENT
 
 
 def test_five_fold_composition_stays_bent():

@@ -32,18 +32,6 @@ def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-def test_export_tables(tmp_path):
-    proc = run_script("export_tables.py", "--out-dir", "tables", "Z3", "S3", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    out_dir = tmp_path / "tables"
-    assert sorted(p.name for p in out_dir.iterdir()) == ["S3.csv", "S3.json", "Z3.csv", "Z3.json"]
-    for label in ("Z3", "S3"):
-        payload = strict_json((out_dir / f"{label}.json").read_text(encoding="utf-8"))
-        assert payload["group"] == label
-        assert len(payload["characters"]) == 3
-        assert (out_dir / f"{label}.csv").read_text(encoding="utf-8").startswith("character,")
-
-
 def test_search_evidence(tmp_path):
     proc = run_script(
         "search_evidence.py", "--groups", "Z4", "S3", "--budget", "200", "--seeds", "0",

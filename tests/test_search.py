@@ -272,3 +272,78 @@ def test_search_is_identical_with_the_reference_probe(monkeypatch, label, strate
     trimmed = result_to_json(run_search(config))
     monkeypatch.setattr(search_module, "_probe_objective", _reference_probe)
     assert result_to_json(run_search(config)) == trimmed
+
+
+#: (best_objective, evaluations, histogram, best_coefficients.tobytes() in hex) at
+#: budget 20 000, seed 1.  The acceptance floors allow rel=1e-9; these are exact,
+#: so a change to the arithmetic of the draws or of the refinement moves one of them.
+TRANSCRIPTS = {
+    ("S3", "random+local"): (
+        0.2855308113847719,
+        17016,
+        (0.2855308113847719, 0.29303470595723746, 0.7270930121621175, 0.9001608804262705,
+         1.0282224370729496, 1.1475254764960936, 1.2519922457800516, 1.3502256280683933,
+         1.447394170593555, 1.5703697468632047, 1.9852518409979192),
+        "da570ae91dceab3f3d88201a4d64d83f310e0369b1d9d33f44bbee1f5ed2d9bf"
+        "89ce82fb6594e8bf53945a755b26ab3f",
+    ),
+    ("S3", "random"): (
+        0.2910685305454386,
+        20000,
+        (0.2910685305454386, 0.7399211012821667, 0.8927786122212202, 1.00621941107494,
+         1.114552928474162, 1.2080552746517692, 1.299564855417254, 1.3816184720410154,
+         1.47262743294785, 1.585137988922749, 1.9852518409979192),
+        "7417b8f3d841adbfafe6303598b0ddbfbde31a7b6d7cd2bf740d6ae4e742d63f"
+        "476d27afdfb1e73fd1cd767129bbc53f",
+    ),
+    ("Q8", "random+local"): (
+        0.4787263614085754,
+        15960,
+        (0.4787263614085754, 0.8969148284190793, 1.0836705512254445, 1.2032727407886044,
+         1.297619105819089, 1.378970852015827, 1.4547626614011113, 1.5320886709067363,
+         1.6185104516515536, 1.7325894695117274, 2.203515013862467),
+        "3b2e25e42b8eba3f89fa0fb57846d9bf9324bcb54925cb3f0a277a459a06963f"
+        "36c6634ff716dbbfcf349f7005cb983fbf63e3f22c03d63f1d2291abbf5fd03f"
+        "66e0b36b699ecebfa89d2d878063e3bf",
+    ),
+    ("Q8", "random"): (
+        0.49506557875270363,
+        20000,
+        (0.49506557875270363, 1.0139764945887464, 1.1447723992459005, 1.2450972759259171,
+         1.3297636577698109, 1.403729952083526, 1.4727388758789022, 1.545198027984293,
+         1.630186944344039, 1.7398661166847063, 2.203515013862467),
+        "9a61aea86758bd3fe2607d2a8229d9bf33c0c6c3d139cb3fb1282dff4217963f"
+        "32cd5e88742bdbbf507948f9c5dd983faf9e26ef5855d53fc3a3cdb6c460d13f"
+        "7051f85ce27ecebf19744ab5894fe3bf",
+    ),
+    ("D4", "random+local"): (
+        0.4787263614085753,
+        15960,
+        (0.4787263614085753, 0.8969148284190792, 1.0836705512254445, 1.203272740788604,
+         1.297619105819089, 1.3789708520158275, 1.454762661401111, 1.532088670906736,
+         1.6185104516515536, 1.7325894695117277, 2.203515013862467),
+        "3b2e25e42b8eba3f89fa0fb57846d9bf9324bcb54925cb3f0a277a459a06963f"
+        "36c6634ff716dbbfcf349f7005cb983fbf63e3f22c03d63f1d2291abbf5fd03f"
+        "66e0b36b699ecebfa89d2d878063e3bf",
+    ),
+    ("D4", "random"): (
+        0.49506557875270335,
+        20000,
+        (0.49506557875270335, 1.0139764945887462, 1.1447723992459005, 1.245097275925917,
+         1.3297636577698113, 1.4037299520835256, 1.472738875878902, 1.545198027984293,
+         1.630186944344039, 1.739866116684706, 2.203515013862467),
+        "9a61aea86758bd3fe2607d2a8229d9bf33c0c6c3d139cb3fb1282dff4217963f"
+        "32cd5e88742bdbbf507948f9c5dd983faf9e26ef5855d53fc3a3cdb6c460d13f"
+        "7051f85ce27ecebf19744ab5894fe3bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("label, strategy", list(TRANSCRIPTS))
+def test_search_transcript_is_pinned_to_the_bit(label, strategy):
+    best, evaluations, histogram, coefficients = TRANSCRIPTS[label, strategy]
+    result = run_search(SearchConfig(group=label, budget=20_000, seed=1, strategy=strategy))
+    assert result.best_objective == best
+    assert result.evaluations == evaluations
+    assert result.histogram == histogram
+    assert result.best_coefficients.tobytes() == bytes.fromhex(coefficients)
