@@ -15,7 +15,8 @@ On the class-sum route the named groups' rows are validated entrywise against
 built-in reference tables and emitted in the reference row order; every other
 table puts the trivial character first, then sorts by degree and by rounded
 values.  On both routes the degrees are read from the identity column and
-must be integers, and the rows must be orthogonal.
+must be integers, and the rows must be orthogonal: the class-sum route checks
+the Gram matrix, the analytic route a bound on it computed per cyclic factor.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ __all__ = [
 
 _REFERENCE_MATCH_TOL = 1e-8
 _EIGENVECTOR_RESIDUAL_TOL = 1e-7
+#: Rounding allowance of the analytic orthogonality bound, per group element.
+_GRAM_ROUNDING_PER_ELEMENT = 8 * float(np.finfo(float).eps)
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -103,18 +106,38 @@ def _roots_of_unity(m: int) -> np.ndarray:
     return roots
 
 
-def _abelian_phi(factors: Sequence[int]) -> np.ndarray:
-    """Element-by-character value matrix for a product of cyclic factors.
+def _abelian_phi(factors: Sequence[int]) -> tuple[np.ndarray, float]:
+    """Element-by-character value matrix for a product of cyclic factors, and
+    a bound on its orthogonality deviation ``max |phi^H phi / n - I|``.
 
     Characters are indexed by exponent tuples in the same row-major order as
     the elements, so ``phi[x, e] = prod_f omega_f^(x_f * e_f)``.
+
+    The bound costs O(sum m^2) where the Gram product costs O(n^3).  For one
+    factor of order m, entry (k, l) of the normalized Gram of ``roots[grid]``
+    averages ``roots[x*k] * conj(roots[x*l])`` over x; each term is within
+    ``delta = max_{a,b} |roots[a] * conj(roots[b]) - roots[a - b]|`` of
+    ``roots[x*(k - l)]``, whose average is ``S[k - l] / m`` with S the row
+    sums of ``roots[grid]``.  So the factor's Gram is within
+    ``dev = max_k |S[k] - m*[k == 0]| / m + delta`` of the identity, and the
+    Gram of the Kronecker product, the Kronecker product of the factors'
+    Grams, within ``prod(1 + dev) - 1``.  The margin covers the rounding of
+    phi's products, of the row sums and of a length-n dot product.
     """
     phi = np.ones((1, 1), dtype=complex)
+    growth = 1.0
     for m in factors:
         roots = _roots_of_unity(m)
-        grid = (np.arange(m)[:, None] * np.arange(m)[None, :]) % m
-        phi = np.kron(phi, roots[grid])
-    return phi
+        index = np.arange(m)
+        block = roots[np.multiply.outer(index, index) % m]
+        phi = np.kron(phi, block)
+        # a - b runs from 1 - m to m - 1; negative indices wrap to a - b + m
+        products = np.multiply.outer(roots, np.conj(roots))
+        delta = np.max(np.abs(products - roots[np.subtract.outer(index, index)]))
+        sums = block.sum(axis=1)
+        sums[0] -= m
+        growth *= 1.0 + float(np.max(np.abs(sums))) / m + float(delta)
+    return phi, growth - 1.0 + _GRAM_ROUNDING_PER_ELEMENT * phi.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +300,11 @@ def _sort_rows(rows: np.ndarray) -> np.ndarray:
 # assembly
 
 
-def _validate_row_orthogonality(group: Group, class_values: np.ndarray) -> None:
+def _gram_deviation(group: Group, class_values: np.ndarray) -> float:
+    """max |G - I| of the class-size weighted Gram matrix G of the rows."""
     sizes = np.asarray(group.class_sizes, dtype=float)
     gram = (class_values * sizes[None, :]) @ np.conj(class_values.T) / group.order
-    dev = float(np.max(np.abs(gram - np.eye(class_values.shape[0]))))
-    if dev > _REFERENCE_MATCH_TOL:
-        raise ValueError(f"character table failed orthogonality validation ({dev:.3e})")
+    return float(np.max(np.abs(gram - np.eye(class_values.shape[0]))))
 
 
 @functools.lru_cache(maxsize=128)
@@ -304,17 +326,21 @@ def character_table(group: Group) -> CharacterTable:
         the offending class sums.
     """
     if group.abelian_factors is not None:
-        class_values = _abelian_phi(group.abelian_factors).T.copy()
-    elif group.name in _REFERENCE_TABLES:
-        reference = _aligned_reference(group)
-        class_values = _match_reference(_class_sum_rows(group), reference, group.name)
+        phi, dev = _abelian_phi(group.abelian_factors)
+        class_values = phi.T.copy()
     else:
-        class_values = _sort_rows(_class_sum_rows(group))
+        if group.name in _REFERENCE_TABLES:
+            reference = _aligned_reference(group)
+            class_values = _match_reference(_class_sum_rows(group), reference, group.name)
+        else:
+            class_values = _sort_rows(_class_sum_rows(group))
+        dev = _gram_deviation(group, class_values)
     degrees = np.round(class_values[:, 0].real)
     if np.max(np.abs(class_values[:, 0] - degrees)) > _REFERENCE_MATCH_TOL:
         raise ValueError("computed character table has a non-integral degree")
+    if dev > _REFERENCE_MATCH_TOL:
+        raise ValueError(f"character table failed orthogonality validation ({dev:.3e})")
     phi = class_values[:, group.class_of].T.copy()
-    _validate_row_orthogonality(group, class_values)
     class_values.setflags(write=False)
     phi.setflags(write=False)
     return CharacterTable(

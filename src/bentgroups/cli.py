@@ -14,12 +14,15 @@ search
 verify-paper
     Re-run the full claims ledger; exit 0 only if no deterministic claim fails.
 
-Exit codes: 0 success/affirmative, 1 negative verdict, 2 usage or input error.
+The global flags ``--tol``, ``--seed``, ``--format`` and ``-o`` go before or
+after the command.  Exit codes: 0 success/affirmative, 1 negative verdict,
+2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -73,7 +76,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     _require_json(args)
     kind = SequenceKind(args.kind)
-    spec = SequenceSpec(kind=kind, length=args.n, root=args.root)
+    if kind is SequenceKind.QUADRATIC_CHIRP and args.root is not None:
+        raise ValueError(f"construct chirp takes no root, got {args.root}")
+    spec = SequenceSpec(kind=kind, length=args.n, root=1 if args.root is None else args.root)
     certified = make_bent_cyclic(spec, args.tol)
     payload = class_function_to_json(certified.function)
     payload["report"] = report_to_json(certified.report)
@@ -126,18 +131,31 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+#: Flags that go before or after the command: (option strings, keyword arguments).
+_GLOBAL_FLAGS = (
+    (("--tol",), {"type": float, "default": 1e-8, "help": "numeric tolerance"}),
+    (("--seed",), {"type": int, "default": 0, "help": "RNG seed"}),
+    (("--format",), {"choices": ("json", "csv"), "default": "json", "help": "output format"}),
+    (("-o", "--output"), {"default": None, "help": "also write output to this file"}),
+)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused for the process.
+
+    The top-level parser holds the global flags' defaults; each command gets
+    copies that set a flag only when it is given, so a flag after the
+    command wins over one before it.
+    """
     parser = _Parser(
         prog="bentgroups",
         description="Bent class functions on small finite groups.",
     )
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-    common.add_argument("-o", "--output", default=None, help="also write output to this file")
+    for flags, options in _GLOBAL_FLAGS:
+        parser.add_argument(*flags, **options)
+        common.add_argument(*flags, **{**options, "default": argparse.SUPPRESS})
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_chars = sub.add_parser("chars", parents=[common], help="print a character table")
@@ -156,7 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("kind", choices=[k.value for k in SequenceKind])
     p_construct.add_argument("n", type=int, help="cyclic group order")
     p_construct.add_argument(
-        "root", type=int, nargs="?", default=1, help="Zadoff-Chu root (default 1)"
+        "root", type=int, nargs="?", default=None,
+        help="Zadoff-Chu root (default 1); chirps take none",
     )
     p_construct.set_defaults(func=_cmd_construct)
 

@@ -321,3 +321,87 @@ def test_z1_table():
     table = character_table(make_cyclic(1))
     assert table.n_irreps == 1
     assert complex(table.phi[0, 0]) == 1.0
+
+
+def ordered_factorizations(n: int) -> list[tuple[int, ...]]:
+    """Every tuple of factors >= 2 with product n, in every order; (1,) for n = 1."""
+    if n == 1:
+        return [(1,)]
+    out = [(n,)]
+    for d in range(2, n):
+        if n % d == 0:
+            out.extend((d,) + rest for rest in ordered_factorizations(n // d) if rest != (1,))
+    return out
+
+
+def gram_deviation(phi: np.ndarray) -> float:
+    """max |G - I| of the rows of phi.T, as the Gram check forms it."""
+    class_values = phi.T
+    gram = class_values @ np.conj(class_values.T) / phi.shape[0]
+    return float(np.max(np.abs(gram - np.eye(phi.shape[0]))))
+
+
+def test_analytic_bound_covers_the_gram_deviation_up_to_order_64():
+    for n in range(1, 65):
+        for factors in ordered_factorizations(n):
+            phi, bound = characters._abelian_phi(factors)
+            assert gram_deviation(phi) <= bound <= 1e-12, factors
+
+
+@pytest.mark.parametrize(
+    "factors", [(509,), (512,), (2,) * 9, (8, 8, 8), (2, 4, 64)],
+    ids=["Z509", "Z512", "Z2^9", "Z8^3", "Z2xZ4xZ64"],
+)
+def test_analytic_bound_covers_the_gram_deviation_at_order_512(factors):
+    phi, bound = characters._abelian_phi(factors)
+    assert gram_deviation(phi) <= bound <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "factors", [(2, 3), (2, 2, 2), (3, 4), (8,), (2, 4, 8)],
+    ids=["Z2xZ3", "Z2^3", "Z3xZ4", "Z8", "Z2xZ4xZ8"],
+)
+def test_analytic_bound_holds_for_perturbed_roots(monkeypatch, factors):
+    """The bound assumes nothing of the roots, so it must hold far from I too."""
+    rng = np.random.default_rng(sum(factors))
+    exact = characters._roots_of_unity
+
+    def perturbed(m):
+        noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        return exact(m) * (1.1 + 0.05 * noise)
+
+    monkeypatch.setattr(characters, "_roots_of_unity", perturbed)
+    phi, bound = characters._abelian_phi(factors)
+    assert 0.1 < gram_deviation(phi) <= bound
+
+
+def scale_root(roots):
+    roots[3] *= 1 + 1e-6
+    return roots
+
+
+def swap_roots(roots):
+    roots[[1, 3]] = roots[[3, 1]]
+    return roots
+
+
+def square_roots(roots):
+    return roots**2  # still a homomorphism, but not faithful
+
+
+@pytest.mark.parametrize("corrupt", [scale_root, swap_roots, square_roots])
+def test_corrupted_roots_fail_the_analytic_orthogonality_check(monkeypatch, corrupt):
+    exact = characters._roots_of_unity
+    monkeypatch.setattr(characters, "_roots_of_unity", lambda m: corrupt(exact(m)))
+    with pytest.raises(ValueError, match="failed orthogonality validation"):
+        character_table.__wrapped__(make_cyclic(8))
+
+
+def test_perturbed_class_sum_table_fails_the_gram_check(monkeypatch):
+    group = group_from_json(dihedral_json(5))
+    rows = characters._class_sum_rows(group)
+    degree_two = int(np.argmax(rows[:, 0].real))
+    rows[degree_two, 1] *= 1 + 1e-6  # off the identity column: degrees stay integers
+    monkeypatch.setattr(characters, "_class_sum_rows", lambda group: rows)
+    with pytest.raises(ValueError, match="failed orthogonality validation"):
+        character_table(group)

@@ -22,7 +22,7 @@ from bentgroups import (
     make_cyclic,
     save_class_function,
 )
-from bentgroups.cli import main
+from bentgroups.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +232,20 @@ def test_construct_writes_stdout_and_file(capsys, tmp_path):
     assert json.loads(out) == json.loads(path.read_text())
 
 
+def test_construct_chirp_rejects_a_root(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    code, out, err = run_cli(capsys, "construct", "chirp", "5", "5", "-o", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: construct chirp takes no root, got 5"]
+    assert not path.exists()
+
+
+def test_construct_zadoff_chu_root_defaults_to_one(capsys):
+    assert run_cli(capsys, "construct", "zadoff-chu", "8") == run_cli(
+        capsys, "construct", "zadoff-chu", "8", "1"
+    )
+
+
 def test_search_exit_zero_even_without_certificate(capsys):
     code, out, _ = run_cli(capsys, "search", "--group", "S3", "--budget", "100")
     assert code == 0
@@ -316,11 +330,13 @@ def test_invalid_tol_is_rejected_before_any_work(capsys, command):
     for tol in tols:
         # the "=" form, the space-separated form and an abbreviated option
         for spelling in ([f"--tol={tol}"], ["--tol", tol], ["--to", tol]):
-            code, out, err = run_cli(capsys, *COMMANDS[command], *spelling)
-            assert (code, out) == (2, "")
-            # one error line, about the tolerance, not the missing check input
-            message = f"error: --tol must be a finite non-negative number, got {float(tol)}"
-            assert err.splitlines() == [message]
+            # after the command and before it
+            for argv in (COMMANDS[command] + spelling, spelling + COMMANDS[command]):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (2, "")
+                # one error line, about the tolerance, not the missing check input
+                message = f"error: --tol must be a finite non-negative number, got {float(tol)}"
+                assert err.splitlines() == [message]
 
 
 @pytest.mark.parametrize(
@@ -359,11 +375,19 @@ def test_every_claim_appears_once(capsys):
     assert len(claims) == len(set(claims)) == 12
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 #: Runs chars, construct and check in one fresh interpreter, then prints the
 #: exit codes and which of two slow-to-import numpy modules got loaded.
 _COLD_RUN = """
 import contextlib, io, sys
-from bentgroups.cli import main
+from bentgroups.cli import _build_parser, main
 path = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["chars", "Z64"]), main(["construct", "zadoff-chu", "64", "5", "-o", path]),
@@ -374,12 +398,83 @@ print(codes, [name for name in ("numpy.random", "numpy.ma") if name in sys.modul
 
 def test_cold_commands_leave_numpy_random_and_ma_unimported(tmp_path):
     """Their first import costs a fresh process tens of milliseconds."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", _COLD_RUN, str(tmp_path / "z64.json")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[0, 0, 0] []\n"
+
+
+#: (command, global flags); "{out}" is replaced by an output path and "{in}"
+#: by a bent class-function file.
+GLOBAL_FLAG_RUNS = {
+    "chars-csv": (["chars", "Z6"], ["--format", "csv", "--seed", "3"]),
+    "chars-output": (["chars", "S3"], ["--tol", "0", "-o", "{out}"]),
+    "check": (["check", "{in}"], ["--tol", "1e-3"]),
+    "construct": (["construct", "zadoff-chu", "8", "3"], ["--tol=1e-12", "-o", "{out}"]),
+    "search": (["search", "--group", "S3", "--budget", "100"], ["--seed", "2", "--tol", "1e-6"]),
+    "verify-paper": (["verify-paper", "--budget", "0"], ["--seed", "1", "--format", "json"]),
+    "csv-rejected": (["verify-paper", "--budget", "0"], ["--format", "csv"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GLOBAL_FLAG_RUNS))
+def test_global_flags_work_before_and_after_the_command(capsys, tmp_path, run):
+    bent = tmp_path / "bent.json"
+    assert run_cli(capsys, "construct", "zadoff-chu", "5", "2", "-o", str(bent))[0] == 0
+    command, flags = GLOBAL_FLAG_RUNS[run]
+
+    def outcome(argv, out_path):
+        argv = [a.replace("{out}", str(out_path)).replace("{in}", str(bent)) for a in argv]
+        return run_cli(capsys, *argv), out_path.read_bytes() if out_path.exists() else None
+
+    after = outcome(command + flags, tmp_path / "after.out")
+    assert outcome(flags + command, tmp_path / "before.out") == after
+
+
+def test_a_global_flag_after_the_command_wins(capsys, tmp_path):
+    search = ["search", "--group", "S3", "--budget", "100"]
+    assert run_cli(capsys, "--seed", "1", *search, "--seed", "2") == run_cli(
+        capsys, *search, "--seed", "2"
+    )
+    assert run_cli(capsys, "--seed", "1", *search)[1] != run_cli(capsys, *search)[1]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code, out, _ = run_cli(capsys, "-o", str(first), "chars", "Z2", "-o", str(second))
+    assert code == 0 and not first.exists()
+    assert second.read_text(encoding="utf-8") == out
+
+
+def _fresh_cli(argv: list[str], cwd: Path) -> tuple[int, str, str]:
+    result = subprocess.run(
+        [sys.executable, "-m", "bentgroups.cli", *argv],
+        cwd=cwd, env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_reusing_the_parser_gives_the_same_results(capsys, monkeypatch, tmp_path):
+    """The parser is built once per process; every call must behave as the first."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "construct", "zadoff-chu", "7", "3", "-o", "bent.json")[0] == 0
+    sequence = {
+        "usage-error": ["chars", "S3", "--bogus"],
+        "bad-tol": ["--tol=-1", "chars", "S3"],
+        "chars": ["chars", "Z12", "--format", "csv"],
+        "check": ["check", "bent.json"],
+        "construct": ["construct", "zadoff-chu", "9", "2", "-o", "made.json"],
+        "search": ["search", "--group", "S3", "--budget", "3000", "--seed", "4"],
+        "verify-paper": ["verify-paper", "--budget", "0"],
+    }
+    runs = []
+    for _ in range(2):
+        results = {name: run_cli(capsys, *argv) for name, argv in sequence.items()}
+        results["made.json"] = Path("made.json").read_bytes()
+        Path("made.json").unlink()
+        runs.append(results)
+    assert runs[0] == runs[1]
+    assert runs[0]["usage-error"][0] == runs[0]["bad-tol"][0] == 2
+    for name in ("chars", "construct"):
+        assert _fresh_cli(sequence[name], tmp_path) == runs[0][name]
+    assert Path("made.json").read_bytes() == runs[0]["made.json"]
+    assert _build_parser() is _build_parser()
