@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -326,6 +327,9 @@ def character_table(group: Group) -> CharacterTable:
         the offending class sums.
     """
     if group.abelian_factors is not None:
+        # every class is a singleton, listed in element order, so phi is
+        # already the element-by-character matrix
+        assert np.array_equal(group.class_of, np.arange(group.order))
         phi, dev = _abelian_phi(group.abelian_factors)
         class_values = phi.T.copy()
     else:
@@ -335,12 +339,12 @@ def character_table(group: Group) -> CharacterTable:
         else:
             class_values = _sort_rows(_class_sum_rows(group))
         dev = _gram_deviation(group, class_values)
+        phi = class_values[:, group.class_of].T.copy()
     degrees = np.round(class_values[:, 0].real)
     if np.max(np.abs(class_values[:, 0] - degrees)) > _REFERENCE_MATCH_TOL:
         raise ValueError("computed character table has a non-integral degree")
     if dev > _REFERENCE_MATCH_TOL:
         raise ValueError(f"character table failed orthogonality validation ({dev:.3e})")
-    phi = class_values[:, group.class_of].T.copy()
     class_values.setflags(write=False)
     phi.setflags(write=False)
     return CharacterTable(
@@ -421,24 +425,63 @@ def _render_value(z: complex, root_order: int) -> str:
     return f"{prefix}e^{{2πi·{k}/{m}}}"
 
 
-def table_to_json(table: CharacterTable) -> dict:
+#: One (re, im) pair as ``json.dumps(..., indent=2)`` lays it out in "values".
+_JSON_PAIR = "        [\n          {!r},\n          {!r}\n        ]"
+
+
+def table_to_json(table: CharacterTable) -> str:
+    """The table as the text of ``json.dumps(<dict>, indent=2)`` plus a newline.
+
+    The dict holds group, order, root_order, class_labels, class_sizes and
+    one ``{"name", "degree", "values"}`` entry per character, each value a
+    ``[re, im]`` pair.  Only the header goes through :mod:`json`: each
+    distinct value is rendered once, with the ``float.__repr__`` that
+    :mod:`json` uses, and gathered into the rows.  Values are told apart by
+    bit pattern, since -0.0 and 0.0 print differently.
+
+    Raises ValueError on a non-finite value, as ``allow_nan=False`` does.
+    """
     group = table.group
-    labels = [group.element_names[rep] for rep in group.class_reps]
-    return {
-        "group": group.name,
-        "order": group.order,
-        "root_order": table.root_order,
-        "class_labels": labels,
-        "class_sizes": list(group.class_sizes),
-        "characters": [
-            {
-                "name": f"chi_{i + 1}",
-                "degree": table.degrees[i],
-                "values": [[float(z.real), float(z.imag)] for z in table.class_values[i]],
-            }
-            for i in range(table.n_irreps)
-        ],
-    }
+    values = np.ascontiguousarray(table.class_values)
+    flat = values.view(float).ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = float(flat[np.argmin(finite)])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    bits = values.view(np.uint64).reshape(-1, 2)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    ranked = bits[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:, 0] != ranked[:-1, 0]) | (ranked[1:, 1] != ranked[:-1, 1])
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    index = inverse.reshape(values.shape)
+    rendered = [_JSON_PAIR.format(re, im) for re, im in ranked[first].view(float).tolist()]
+    # one row per character: its opening lines, its pairs, each but the last
+    # followed by ",\n", and its closing lines
+    pieces = np.empty((values.shape[0], values.shape[1] + 2), dtype=object)
+    pieces[:, 0] = [
+        f'    {{\n      "name": "chi_{i + 1}",\n      "degree": {degree},\n      "values": [\n'
+        for i, degree in enumerate(table.degrees)
+    ]
+    pieces[:, 1:-1] = np.array([pair + ",\n" for pair in rendered], dtype=object)[index]
+    pieces[:, -2] = np.array(rendered, dtype=object)[index[:, -1]]
+    pieces[:, -1] = "\n      ]\n    },\n"
+    pieces[-1, -1] = "\n      ]\n    }\n"
+    header = json.dumps(
+        {
+            "group": group.name,
+            "order": group.order,
+            "root_order": table.root_order,
+            "class_labels": [group.element_names[rep] for rep in group.class_reps],
+            "class_sizes": list(group.class_sizes),
+        },
+        indent=2,
+    )
+    # the header without its closing "\n}", then the characters list
+    return "".join(
+        [header[:-2], ',\n  "characters": [\n', *pieces.ravel().tolist(), "  ]\n}\n"]
+    )
 
 
 def table_to_csv(table: CharacterTable) -> str:

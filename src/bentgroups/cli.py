@@ -61,7 +61,7 @@ def _cmd_chars(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(table_to_csv(table), args.output)
     else:
-        _emit(_dumps(table_to_json(table)), args.output)
+        _emit(table_to_json(table), args.output)
     return 0
 
 

@@ -450,7 +450,7 @@ def _claim_q8_system(tol: float) -> LedgerEntry:
 def _search_entry(
     claim: str, statement: str, group: str, tol: float, budget: int, seed: int, stream: int
 ) -> LedgerEntry:
-    if budget <= 0:
+    if budget == 0:
         return LedgerEntry(
             claim=claim,
             statement=statement,
@@ -482,7 +482,12 @@ def _search_entry(
 
 
 def build_ledger(tol: float = 1e-8, budget: int = DEFAULT_BUDGET, seed: int = 0) -> PaperLedger:
-    """Run every claim check and assemble the ledger."""
+    """Run every claim check and assemble the ledger.
+
+    A budget of 0 skips the two search entries; a negative one is rejected.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     entries = (
         _claim_character_tables(tol),
         _claim_derivative_definition(tol),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -295,7 +296,7 @@ def test_root_order_is_group_exponent():
 
 
 def test_table_json_layout(z3_table):
-    obj = table_to_json(z3_table)
+    obj = json.loads(table_to_json(z3_table))
     assert obj["group"] == "Z3"
     assert obj["order"] == 3
     assert len(obj["characters"]) == 3
@@ -304,6 +305,54 @@ def test_table_json_layout(z3_table):
     assert chi2["degree"] == 1
     re, im = chi2["values"][1]
     assert abs(complex(re, im) - W3) < 1e-12
+
+
+def table_dict(table):
+    """The table as a dict; ``table_to_json`` must print its ``indent=2`` dump."""
+    group = table.group
+    return {
+        "group": group.name,
+        "order": group.order,
+        "root_order": table.root_order,
+        "class_labels": [group.element_names[rep] for rep in group.class_reps],
+        "class_sizes": list(group.class_sizes),
+        "characters": [
+            {
+                "name": f"chi_{i + 1}",
+                "degree": table.degrees[i],
+                "values": [[float(z.real), float(z.imag)] for z in table.class_values[i]],
+            }
+            for i in range(table.n_irreps)
+        ],
+    }
+
+
+# Z2xZ2 and Z2xZ4 hold -0.0 next to 0.0, so a value-keyed dedup misprints them
+JSON_LABELS = [
+    "V4", "S3", "Q8", "D4", "Z1", "Z2", "Z2xZ2", "Z2xZ4", "Z12", "Z64", "Z509", "Z512",
+    "Z2xZ4xZ64", "x".join(["Z2"] * 9), "Z8xZ8xZ8", "Z26xZ19",
+]
+
+
+@pytest.mark.parametrize("label", JSON_LABELS)
+def test_table_json_text_is_the_json_encoder_dump(label):
+    table = character_table(group_from_label(label))
+    text = table_to_json(table)
+    expected = json.dumps(table_dict(table), indent=2) + "\n"
+    if text != expected:  # pytest's own diff of two 20 MB strings runs for minutes
+        at = next(i for i, (a, b) in enumerate(zip(text, expected + "\0")) if a != b)
+        pytest.fail(f"text differs at offset {at}: {text[max(at - 60, 0):at + 20]!r}")
+
+
+def test_table_json_rejects_a_non_finite_value_as_the_json_encoder_does(s3_table):
+    values = s3_table.class_values.copy()
+    values[2, 1] = complex(0.0, math.nan)
+    table = replace(s3_table, class_values=values)
+    with pytest.raises(ValueError) as expected:
+        json.dumps(table_dict(table), indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as raised:
+        table_to_json(table)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_table_csv_rendering(z3_table, s3_table):
@@ -395,6 +444,17 @@ def test_corrupted_roots_fail_the_analytic_orthogonality_check(monkeypatch, corr
     monkeypatch.setattr(characters, "_roots_of_unity", lambda m: corrupt(exact(m)))
     with pytest.raises(ValueError, match="failed orthogonality validation"):
         character_table.__wrapped__(make_cyclic(8))
+
+
+def test_analytic_phi_is_the_gathered_class_values():
+    """The analytic route keeps ``_abelian_phi``'s matrix as ``phi``."""
+    every_factorization = [f for n in range(1, 65) for f in ordered_factorizations(n)]
+    for factors in every_factorization + [(512,)]:
+        table = character_table(make_abelian(factors))
+        gathered = table.class_values[:, table.group.class_of].T.copy()
+        assert table.phi.dtype == gathered.dtype and table.phi.shape == gathered.shape
+        assert table.phi.tobytes() == gathered.tobytes(), factors
+        assert table.phi.flags.c_contiguous and not table.phi.flags.writeable, factors
 
 
 def test_perturbed_class_sum_table_fails_the_gram_check(monkeypatch):

@@ -308,6 +308,13 @@ def test_verify_paper_budget_zero_skips_searches(capsys):
     assert skipped == ["s3-search-evidence", "q8-existence-evidence"]
 
 
+def test_verify_paper_negative_budget_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify-paper", "--budget", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget must be non-negative, got -3\n"
+
+
 def test_verify_paper_is_byte_deterministic(capsys, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(capsys, "verify-paper", "--budget", "300", "-o", str(p1))

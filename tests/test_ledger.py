@@ -94,6 +94,11 @@ def test_budget_zero_skips_search_entries():
     assert ledger.passed  # SKIPPED does not fail the gate
 
 
+def test_negative_budget_is_rejected():
+    with pytest.raises(ValueError, match="budget must be non-negative, got -3"):
+        build_ledger(budget=-3)
+
+
 def test_certified_search_witness_fails_both_search_claims(monkeypatch):
     """S3 and Q8 both have forced magnitudes that admit no bent function, so a
     certified witness on either contradicts the derivation."""
