@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import CharacterTable
-from .class_functions import ClassFunction, is_unimodular
+from .class_functions import ClassFunction, _pairs, is_unimodular
 
 __all__ = [
     "BENT",
@@ -190,5 +190,5 @@ def report_to_json(report: BentReport) -> dict:
         "max_residual": report.max_residual,
         "unimodular_deviation": report.unimodular_deviation,
         "tol": report.tol,
-        "residuals": [[float(z.real), float(z.imag)] for z in report.residuals],
+        "residuals": _pairs(report.residuals),
     }

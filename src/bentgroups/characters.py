@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapabilityError, NumericDegeneracyError
 from .groups import Group, element_order, make_named
@@ -48,6 +49,9 @@ _REFERENCE_MATCH_TOL = 1e-8
 _EIGENVECTOR_RESIDUAL_TOL = 1e-7
 #: Rounding allowance of the analytic orthogonality bound, per group element.
 _GRAM_ROUNDING_PER_ELEMENT = 8 * float(np.finfo(float).eps)
+
+#: Rows per block of the analytic bound's products, so no m x m temporary is formed.
+_ROW_BLOCK = 64
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -102,8 +106,7 @@ def _roots_of_unity(m: int) -> np.ndarray:
         roots[m // 2] = -1.0
     if m % 4 == 0:
         roots[m // 4] = 1j
-    for t in range(1, (m - 1) // 2 + 1):
-        roots[m - t] = np.conj(roots[t])
+    roots[m - 1 : m // 2 : -1] = np.conj(roots[1 : (m - 1) // 2 + 1])
     return roots
 
 
@@ -125,16 +128,23 @@ def _abelian_phi(factors: Sequence[int]) -> tuple[np.ndarray, float]:
     Grams, within ``prod(1 + dev) - 1``.  The margin covers the rounding of
     phi's products, of the row sums and of a length-n dot product.
     """
-    phi = np.ones((1, 1), dtype=complex)
+    phi = None
     growth = 1.0
     for m in factors:
         roots = _roots_of_unity(m)
-        index = np.arange(m)
-        block = roots[np.multiply.outer(index, index) % m]
-        phi = np.kron(phi, block)
-        # a - b runs from 1 - m to m - 1; negative indices wrap to a - b + m
-        products = np.multiply.outer(roots, np.conj(roots))
-        delta = np.max(np.abs(products - roots[np.subtract.outer(index, index)]))
+        index = np.arange(m, dtype=np.int32)  # products stay below MAX_ORDER**2
+        grid = np.multiply.outer(index, index)
+        grid %= m
+        block = roots[grid]
+        phi = block if phi is None else np.kron(phi, block)
+        # delta with b = -c mod m, by row blocks: roots[a] * conj(roots[-c]) against
+        # roots[a + c], a sliding window over roots[(0 .. 2m - 2) % m]
+        conj = np.conj(roots)[-index]
+        shifted = sliding_window_view(roots[np.arange(2 * m - 1) % m], m)
+        delta = np.max([
+            np.max(np.abs(np.multiply.outer(roots[rows], conj) - shifted[rows]))
+            for rows in (slice(a, a + _ROW_BLOCK) for a in range(0, m, _ROW_BLOCK))
+        ])
         sums = block.sum(axis=1)
         sums[0] -= m
         growth *= 1.0 + float(np.max(np.abs(sums))) / m + float(delta)
@@ -330,8 +340,10 @@ def character_table(group: Group) -> CharacterTable:
         # every class is a singleton, listed in element order, so phi is
         # already the element-by-character matrix
         assert np.array_equal(group.class_of, np.arange(group.order))
+        # phi is symmetric, a Kronecker product of symmetric factor blocks, so
+        # it is its own transpose: the class values are phi itself
         phi, dev = _abelian_phi(group.abelian_factors)
-        class_values = phi.T.copy()
+        class_values = phi
     else:
         if group.name in _REFERENCE_TABLES:
             reference = _aligned_reference(group)
@@ -425,8 +437,9 @@ def _render_value(z: complex, root_order: int) -> str:
     return f"{prefix}e^{{2πi·{k}/{m}}}"
 
 
-#: One (re, im) pair as ``json.dumps(..., indent=2)`` lays it out in "values".
-_JSON_PAIR = "        [\n          {!r},\n          {!r}\n        ]"
+#: One ``[re, im]`` float pair as a list item of ``json.dumps(..., indent=2)``:
+#: ``.format(pad)`` sets its indent, ``% (re, im)`` prints ``float.__repr__``s.
+_JSON_PAIR = "{0}[\n{0}  %r,\n{0}  %r\n{0}]"
 
 
 def table_to_json(table: CharacterTable) -> str:
@@ -456,7 +469,8 @@ def table_to_json(table: CharacterTable) -> str:
     inverse = np.empty(len(ranked), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     index = inverse.reshape(values.shape)
-    rendered = [_JSON_PAIR.format(re, im) for re, im in ranked[first].view(float).tolist()]
+    pair = _JSON_PAIR.format(" " * 8)  # "values" pairs sit at 8 spaces
+    rendered = [pair % re_im for re_im in map(tuple, ranked[first].view(float).tolist())]
     # one row per character: its opening lines, its pairs, each but the last
     # followed by ",\n", and its closing lines
     pieces = np.empty((values.shape[0], values.shape[1] + 2), dtype=object)

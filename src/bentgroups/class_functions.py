@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import CharacterTable, character_table
-from .groups import Group, group_from_label
+from .groups import Group, _freeze, group_from_label
 
 __all__ = [
     "ClassFunction",
@@ -60,11 +60,6 @@ class ClassFunction:
             f"ClassFunction(group={self.group.name!r}, "
             f"n_coefficients={len(self.coefficients)}, basis={self.basis!r})"
         )
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def from_coefficients(table: CharacterTable, coefficients: Sequence[complex]) -> ClassFunction:
@@ -134,7 +129,8 @@ def is_unimodular(f: ClassFunction, tol: float = 1e-8) -> tuple[bool, float]:
 
 
 def _pairs(arr: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in arr]
+    """``[re, im]`` float pairs of a complex vector, read from its float view."""
+    return np.ascontiguousarray(arr, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def class_function_to_json(f: ClassFunction) -> dict:
@@ -170,10 +166,12 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
     """Rebuild a class function from :func:`class_function_to_json` output.
 
     The group is resolved from its label unless a matching ``table`` is
-    supplied.  Only the primary representation named by ``basis`` is trusted;
-    the other is recomputed.  Data must be finite ``[re, im]`` pairs whose
-    function has a finite energy sum ``|f(x)|^2``, which bounds every
-    derivative sum; anything else raises ValueError.
+    supplied: one whose group is named by the label or by what the label
+    resolves to, so ``"z4"`` matches ``Z4``.  Only the primary representation
+    named by ``basis`` is trusted; the other is recomputed.  Data must be
+    finite ``[re, im]`` pairs whose function has a finite energy sum
+    ``|f(x)|^2``, which bounds every derivative sum; anything else raises
+    ValueError.
     """
     try:
         label = str(obj["group"])
@@ -183,7 +181,7 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
         raise ValueError(f"malformed class-function JSON: {exc}") from exc
     if table is None:
         table = character_table(group_from_label(label))
-    elif table.group.name != label:
+    elif label != table.group.name and group_from_label(label).name != table.group.name:
         raise ValueError(
             f"class-function JSON is for group {label!r}, not {table.group.name!r}"
         )

@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import itertools
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence
 
 from .bentness import BENT, is_bent, report_to_json
-from .characters import character_table, table_to_csv, table_to_json
+from .characters import _JSON_PAIR, character_table, table_to_csv, table_to_json
 from .class_functions import class_function_to_json, load_class_function
 from .constructions import SequenceKind, SequenceSpec, make_bent_cyclic
 from .groups import group_from_label
@@ -48,7 +49,45 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"`` for str-keyed dicts,
+    byte for byte, without :mod:`json`'s pure-Python indenting encoder.  Each
+    list of ``[re, im]`` float pairs renders through one template."""
+    return _encode(obj, "") + "\n"
+
+
+def _encode(obj: object, pad: str) -> str:
+    """``obj`` as JSON text whose first line sits at the indent ``pad``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        if all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is float for p in obj):
+            for x in itertools.filterfalse(math.isfinite, itertools.chain.from_iterable(obj)):
+                _encode(x, pad)  # raises at the first non-finite value
+            pair = _JSON_PAIR.format(inner)
+            items = [pair % re_im for re_im in map(tuple, obj)]
+        else:
+            items = [inner + _encode(x, inner) for x in obj]
+    elif isinstance(obj, dict):
+        brackets = "{}"
+        items = [
+            f"{inner}{encode_basestring_ascii(key)}: {_encode(value, inner)}"
+            for key, value in obj.items()
+        ]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _require_json(args: argparse.Namespace) -> None:

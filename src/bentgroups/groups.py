@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapabilityError
 
@@ -158,7 +159,6 @@ def _check_associativity(cayley: np.ndarray, identity: int) -> None:
     subgroup, and each generator at least doubles it.  There are at most
     floor(log2 n) generators, each costing two n x n gathers.
     """
-    cayley = cayley.astype(np.int16)  # orders <= MAX_ORDER fit; a quarter of the traffic
     inside = np.zeros(cayley.shape[0], dtype=bool)
     inside[identity] = True
     while not inside.all():
@@ -204,10 +204,11 @@ def _build_group(
 ) -> Group:
     cayley = np.asarray(cayley, dtype=np.int64)
     _check_cayley(cayley)
-    identity = _find_identity(cayley)
-    inverses = _find_inverses(cayley, identity)
-    _check_associativity(cayley, identity)
-    class_of, reps, sizes = _conjugacy_partition(cayley, inverses, identity)
+    table = cayley.astype(np.int16)  # orders <= MAX_ORDER fit; a quarter of the traffic
+    identity = _find_identity(table)
+    inverses = _find_inverses(table, identity)
+    _check_associativity(table, identity)
+    class_of, reps, sizes = _conjugacy_partition(table, inverses, identity)
     if element_names is None:
         element_names = tuple(str(i) for i in range(cayley.shape[0]))
     names = tuple(element_names)
@@ -256,13 +257,17 @@ def _make_abelian(factors: tuple[int, ...]) -> Group:
     n = math.prod(factors)
     if n > MAX_ORDER:
         raise CapabilityError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
-    digits = np.unravel_index(np.arange(n), factors)  # row-major mixed radix
-    cayley = np.ravel_multi_index(
-        tuple((d[:, None] + d[None, :]) % m for d, m in zip(digits, factors)), factors
-    )
+    # from the last factor outward: Z_m's table (i + j) % m, a sliding window
+    # over arange(2m - 1) % m, times the order k of the later factors, plus theirs
+    cayley = np.zeros((1, 1), dtype=np.int64)
+    for m in reversed(factors):
+        k = len(cayley)
+        window = sliding_window_view(np.arange(2 * m - 1) % m * k, m)
+        cayley = (window[:, None, :, None] + cayley[None, :, None, :]).reshape(m * k, m * k)
     names = None
     if len(factors) > 1:
-        names = ["(" + ",".join(map(str, ds)) + ")" for ds in zip(*digits)]
+        digits = itertools.product(*map(range, factors))  # row-major mixed radix
+        names = ["(" + ",".join(map(str, ds)) + ")" for ds in digits]
     label = "x".join(f"Z{m}" for m in factors)
     return _build_group(label, cayley, element_names=names, abelian_factors=factors)
 

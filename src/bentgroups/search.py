@@ -21,7 +21,7 @@ import numpy as np
 
 from .bentness import BENT, BentReport, _row_max, is_bent, report_to_json
 from .characters import CharacterTable, character_table
-from .class_functions import from_coefficients
+from .class_functions import _pairs, from_coefficients
 from .constructions import quadratic_chirp, zadoff_chu
 from .groups import group_from_label
 
@@ -344,9 +344,7 @@ def result_to_json(result: SearchResult) -> dict:
             "strategy": result.config.strategy.value,
         },
         "best_objective": result.best_objective,
-        "best_coefficients": [
-            [float(z.real), float(z.imag)] for z in result.best_coefficients
-        ],
+        "best_coefficients": _pairs(result.best_coefficients),
         "certified_bent": result.certified_bent,
         "evaluations": result.evaluations,
         "histogram": list(result.histogram),

@@ -64,6 +64,23 @@ def brute_spectrum(values) -> list[float]:
     return out
 
 
+def ordered_factorizations(n: int) -> list[tuple[int, ...]]:
+    """Every tuple of factors >= 2 with product n, in every order; (1,) for n = 1."""
+    if n == 1:
+        return [(1,)]
+    out = [(n,)]
+    for d in range(2, n):
+        if n % d == 0:
+            out.extend((d,) + rest for rest in ordered_factorizations(n // d) if rest != (1,))
+    return out
+
+
+#: Every ordered factorization up to order 64, then five tables at orders 509 and 512.
+FACTORIZATIONS = [f for n in range(1, 65) for f in ordered_factorizations(n)]
+LARGE_FACTORIZATIONS = [(512,), (509,), (2,) * 9, (8, 8, 8), (2, 4, 64)]
+LARGE_IDS = ["Z512", "Z509", "Z2^9", "Z8^3", "Z2xZ4xZ64"]
+
+
 def unit_phases(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(n))
 

@@ -33,7 +33,12 @@ from bentgroups import (
 )
 
 from bentgroups import characters
-from conftest import unit_phases
+from conftest import (
+    FACTORIZATIONS,
+    LARGE_FACTORIZATIONS,
+    LARGE_IDS,
+    unit_phases,
+)
 
 W3 = cmath.exp(2j * math.pi / 3)
 
@@ -372,17 +377,6 @@ def test_z1_table():
     assert complex(table.phi[0, 0]) == 1.0
 
 
-def ordered_factorizations(n: int) -> list[tuple[int, ...]]:
-    """Every tuple of factors >= 2 with product n, in every order; (1,) for n = 1."""
-    if n == 1:
-        return [(1,)]
-    out = [(n,)]
-    for d in range(2, n):
-        if n % d == 0:
-            out.extend((d,) + rest for rest in ordered_factorizations(n // d) if rest != (1,))
-    return out
-
-
 def gram_deviation(phi: np.ndarray) -> float:
     """max |G - I| of the rows of phi.T, as the Gram check forms it."""
     class_values = phi.T
@@ -391,16 +385,12 @@ def gram_deviation(phi: np.ndarray) -> float:
 
 
 def test_analytic_bound_covers_the_gram_deviation_up_to_order_64():
-    for n in range(1, 65):
-        for factors in ordered_factorizations(n):
-            phi, bound = characters._abelian_phi(factors)
-            assert gram_deviation(phi) <= bound <= 1e-12, factors
+    for factors in FACTORIZATIONS:
+        phi, bound = characters._abelian_phi(factors)
+        assert gram_deviation(phi) <= bound <= 1e-12, factors
 
 
-@pytest.mark.parametrize(
-    "factors", [(509,), (512,), (2,) * 9, (8, 8, 8), (2, 4, 64)],
-    ids=["Z509", "Z512", "Z2^9", "Z8^3", "Z2xZ4xZ64"],
-)
+@pytest.mark.parametrize("factors", LARGE_FACTORIZATIONS, ids=LARGE_IDS)
 def test_analytic_bound_covers_the_gram_deviation_at_order_512(factors):
     phi, bound = characters._abelian_phi(factors)
     assert gram_deviation(phi) <= bound <= 1e-11
@@ -447,14 +437,69 @@ def test_corrupted_roots_fail_the_analytic_orthogonality_check(monkeypatch, corr
 
 
 def test_analytic_phi_is_the_gathered_class_values():
-    """The analytic route keeps ``_abelian_phi``'s matrix as ``phi``."""
-    every_factorization = [f for n in range(1, 65) for f in ordered_factorizations(n)]
-    for factors in every_factorization + [(512,)]:
+    """The analytic route keeps ``_abelian_phi``'s matrix as ``phi``, and, as
+    phi is symmetric, as the class values too."""
+    for factors in FACTORIZATIONS + [(512,)]:
         table = character_table(make_abelian(factors))
+        assert table.class_values is table.phi, factors
         gathered = table.class_values[:, table.group.class_of].T.copy()
         assert table.phi.dtype == gathered.dtype and table.phi.shape == gathered.shape
         assert table.phi.tobytes() == gathered.tobytes(), factors
         assert table.phi.flags.c_contiguous and not table.phi.flags.writeable, factors
+
+
+def loop_roots_of_unity(m: int) -> np.ndarray:
+    """The roots with their conjugate pairing set one index at a time."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    roots[0] = 1.0
+    if m % 2 == 0:
+        roots[m // 2] = -1.0
+    if m % 4 == 0:
+        roots[m // 4] = 1j
+    for t in range(1, (m - 1) // 2 + 1):
+        roots[m - t] = np.conj(roots[t])
+    return roots
+
+
+def kron_phi(factors) -> tuple[np.ndarray, float]:
+    """The former ``_abelian_phi``: Kronecker products from a 1 x 1 ones matrix,
+    int64 index grids, and each factor's products as one m x m array."""
+    phi = np.ones((1, 1), dtype=complex)
+    growth = 1.0
+    for m in factors:
+        roots = loop_roots_of_unity(m)
+        index = np.arange(m)
+        block = roots[np.multiply.outer(index, index) % m]
+        phi = np.kron(phi, block)
+        products = np.multiply.outer(roots, np.conj(roots))
+        delta = np.max(np.abs(products - roots[np.subtract.outer(index, index)]))
+        sums = block.sum(axis=1)
+        sums[0] -= m
+        growth *= 1.0 + float(np.max(np.abs(sums))) / m + float(delta)
+    return phi, growth - 1.0 + characters._GRAM_ROUNDING_PER_ELEMENT * phi.shape[0]
+
+
+def assert_phi_matches_kron_reference(factors) -> None:
+    phi, bound = characters._abelian_phi(factors)
+    want_phi, want_bound = kron_phi(factors)
+    assert phi.dtype == want_phi.dtype and phi.shape == want_phi.shape, factors
+    assert phi.tobytes() == want_phi.tobytes(), factors
+    assert bound == want_bound, factors
+
+
+def test_roots_of_unity_match_the_loop_pairing():
+    for m in range(1, 513):
+        assert characters._roots_of_unity(m).tobytes() == loop_roots_of_unity(m).tobytes(), m
+
+
+def test_phi_and_bound_match_the_kron_reference_up_to_order_64():
+    for factors in FACTORIZATIONS:
+        assert_phi_matches_kron_reference(factors)
+
+
+@pytest.mark.parametrize("factors", LARGE_FACTORIZATIONS, ids=LARGE_IDS)
+def test_phi_and_bound_match_the_kron_reference_at_order_512(factors):
+    assert_phi_matches_kron_reference(factors)
 
 
 def test_perturbed_class_sum_table_fails_the_gram_check(monkeypatch):

@@ -23,6 +23,7 @@ from bentgroups import (
     save_class_function,
     to_coefficients,
 )
+from bentgroups.class_functions import _pairs
 
 complex_coeff = st.builds(
     complex,
@@ -150,6 +151,33 @@ def test_json_group_mismatch(z3_table, z4_table):
         class_function_from_json(obj, table=z4_table)
 
 
+def test_json_label_that_resolves_to_the_table_group_is_accepted(z4_table):
+    a = np.array([0.5, 0.5j, -0.5, -0.5j])
+    obj = class_function_to_json(from_coefficients(z4_table, a))
+    obj["group"] = "z4"
+    back = class_function_from_json(obj, table=z4_table)
+    assert back.table is z4_table
+    np.testing.assert_array_equal(back.coefficients, a)
+    assert class_function_from_json(obj).group.name == "Z4"  # as the table-less path does
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("z2xz2", "is for group 'z2xz2', not 'Z4'"),
+        ("V4", "is for group 'V4', not 'Z4'"),
+        ("Z3", "is for group 'Z3', not 'Z4'"),
+        ("Y4", "cannot resolve group label 'Y4'"),
+        ("Z1024", "group order 1024 exceeds"),
+    ],
+)
+def test_json_label_for_another_group_is_rejected(z4_table, label, message):
+    obj = class_function_to_json(from_coefficients(z4_table, np.array([0.5, 0.5j, -0.5, -0.5j])))
+    obj["group"] = label
+    with pytest.raises(ValueError, match=message):
+        class_function_from_json(obj, table=z4_table)
+
+
 def test_file_round_trip(tmp_path, v4_table):
     f = from_coefficients(v4_table, np.array([0.5, 0.5, 0.5, 0.5]))
     path = tmp_path / "f.json"
@@ -165,3 +193,11 @@ def test_loaded_functions_land_on_named_groups():
     back = class_function_from_json(class_function_to_json(f))
     assert back.group.name == "Z2xZ3"
     assert back.group.abelian_factors == (2, 3)
+
+
+def test_pairs_from_the_float_view_are_the_per_element_floats():
+    z = np.array([0.5 - 0.0j, complex(-0.0, 5e-324), complex(1e308, math.nan), -1j, 3 + 0j])
+    for arr in (z, z[::2], z[[0, 1, 3, 4]].astype(np.complex64)):
+        old = [[float(v.real), float(v.imag)] for v in arr]
+        assert repr(_pairs(arr)) == repr(old)
+        assert all(type(x) is float for pair in _pairs(arr) for x in pair)

@@ -17,12 +17,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bentgroups import (
+    SearchConfig,
+    SequenceKind,
+    SequenceSpec,
+    Strategy,
+    build_ledger,
     character_table,
+    class_function_to_json,
     from_coefficients,
+    from_values,
+    group_from_label,
+    is_bent,
+    ledger_to_json,
+    make_bent_cyclic,
     make_cyclic,
+    report_to_json,
+    result_to_json,
+    run_search,
     save_class_function,
 )
-from bentgroups.cli import _build_parser, main
+from bentgroups.cli import _build_parser, _dumps, main
 
 
 def run_cli(capsys, *argv):
@@ -485,3 +499,85 @@ def test_reusing_the_parser_gives_the_same_results(capsys, monkeypatch, tmp_path
         assert _fresh_cli(sequence[name], tmp_path) == runs[0][name]
     assert Path("made.json").read_bytes() == runs[0]["made.json"]
     assert _build_parser() is _build_parser()
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against the json module's indent=2 encoder
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def construct_payload(kind: str, n: int, root: int = 1) -> dict:
+    certified = make_bent_cyclic(SequenceSpec(SequenceKind(kind), n, root))
+    payload = class_function_to_json(certified.function)
+    payload["report"] = report_to_json(certified.report)
+    return payload
+
+
+def check_payload(label: str, seed: int, scale: float = 1.0) -> dict:
+    table = character_table(group_from_label(label))
+    rng = np.random.default_rng(seed)
+    values = scale * np.exp(2j * np.pi * rng.random(table.group.order))[table.group.class_of]
+    return report_to_json(is_bent(from_values(table, values)))
+
+
+WRITER_PAYLOADS = {
+    "construct-z1": lambda: construct_payload("zadoff-chu", 1),
+    "construct-z12-root5": lambda: construct_payload("zadoff-chu", 12, 5),
+    "construct-z64-root3": lambda: construct_payload("zadoff-chu", 64, 3),
+    "construct-chirp-z9": lambda: construct_payload("chirp", 9),
+    "construct-z469-root2": lambda: construct_payload("zadoff-chu", 469, 2),
+    "check-bent-z64": lambda: construct_payload("zadoff-chu", 64)["report"],
+    "check-random-s3": lambda: check_payload("S3", 1),
+    "check-random-z2xz4": lambda: check_payload("Z2xZ4", 2),
+    "check-non-unimodular-q8": lambda: check_payload("Q8", 3, scale=2.0),
+    "search-s3": lambda: result_to_json(run_search(SearchConfig(group="S3", budget=2000, seed=1))),
+    "search-q8-random": lambda: result_to_json(
+        run_search(SearchConfig(group="Q8", budget=2000, seed=2, strategy=Strategy.RANDOM))
+    ),
+    "search-z4": lambda: result_to_json(run_search(SearchConfig(group="Z4", budget=2000, seed=0))),
+    "verify-paper": lambda: ledger_to_json(build_ledger(budget=300)),
+    "edge-values": lambda: {
+        "floats": [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16, 123456789.0],
+        "pairs": [[-0.0, 5e-324], [1e308, -0.0], [0.5, -2.5]],
+        "not pairs": [[1.0, 2], [1.0], [1.0, 2.0, 3.0], [True, 1.0], (1.0, 2.0)],
+        "empty": [[], {}, [[]], [{}]],
+        "nested": {"a": {"b": {"c": [1, [2, [3.5]]]}}},
+        "strings": ["", "ascii", "\u00e9\u00fc \u2603 \U0001d11e", "quote \" backslash \\ tab \t nl \n"],
+        "scalars": [None, True, False, 0, -7, 10**30],
+        "numpy floats": [np.float64(1.5), [np.float64(-0.0), 2.0]],
+        "pairs of numpy floats": [[np.float64(0.5), np.float64(-0.0)]],
+        "pairs with a bool": [[1.0, True], [0.5, 0.5]],
+        "pairs with a str": [[1.0, "x"]],
+        "\u00e9t\u00e9": "non-ASCII key",
+    },
+    "empty-dict": dict,
+    "empty-list": list,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_PAYLOADS))
+def test_writer_is_byte_identical_to_json_dumps(name):
+    obj = WRITER_PAYLOADS[name]()
+    assert _dumps(obj) == json_text(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"x": [[1.0, math.nan]]},
+        {"x": [[0.0, 1.0], [2.0, math.inf], [math.nan, 0.0]]},
+        {"x": -math.inf},
+        {"x": [1.0, [np.float64(math.nan)]]},
+        {"x": np.int64(1)},
+        {"x": {1, 2}},
+    ],
+)
+def test_writer_raises_what_json_dumps_raises(obj):
+    with pytest.raises((ValueError, TypeError)) as expected:
+        json_text(obj)
+    with pytest.raises(expected.type) as raised:
+        _dumps(obj)
+    assert str(raised.value) == str(expected.value)

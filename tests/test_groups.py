@@ -33,6 +33,7 @@ from bentgroups import (
     multiply,
 )
 from bentgroups import characters, constructions, groups
+from conftest import FACTORIZATIONS, LARGE_FACTORIZATIONS, LARGE_IDS
 
 ALL_LABELS = ["Z1", "Z2", "Z6", "Z12", "Z2xZ3", "Z4xZ2", "S3", "Q8", "V4", "D4"]
 
@@ -186,6 +187,33 @@ def test_cyclic_is_the_one_factor_product(n):
     g = make_cyclic(n)
     assert g is make_abelian((n,))
     assert g.element_names == tuple(str(i) for i in range(n))
+
+
+def assert_matches_mixed_radix(factors: tuple[int, ...]) -> None:
+    """The table and names against the former construction: add the mixed-radix
+    digits mod each factor, re-index with ``ravel_multi_index``, and name each
+    element from ``str`` of its numpy digits."""
+    g = make_abelian(factors)
+    digits = np.unravel_index(np.arange(math.prod(factors)), factors)
+    cayley = np.ravel_multi_index(
+        tuple((d[:, None] + d[None, :]) % m for d, m in zip(digits, factors)), factors
+    )
+    assert g.cayley.dtype == cayley.dtype and g.cayley.shape == cayley.shape, factors
+    assert g.cayley.tobytes() == cayley.tobytes(), factors
+    if len(factors) > 1:
+        names = tuple("(" + ",".join(map(str, ds)) + ")" for ds in zip(*digits))
+        assert g.element_names == names, factors
+
+
+def test_cayley_broadcast_matches_the_mixed_radix_table_up_to_order_64():
+    for factors in FACTORIZATIONS:
+        assert_matches_mixed_radix(factors)
+
+
+@pytest.mark.parametrize("factors", LARGE_FACTORIZATIONS, ids=LARGE_IDS)
+def test_cayley_broadcast_matches_the_mixed_radix_table_at_order_512(factors):
+    assert_matches_mixed_radix(factors)
+    assert_matches_loops(make_abelian(factors))
 
 
 def test_one_factor_product_survives_json_round_trip():
