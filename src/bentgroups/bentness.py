@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CharacterTable
+from .characters import CharacterTable, _row_blocks
 from .class_functions import ClassFunction, _pairs, is_unimodular
 
 __all__ = [
@@ -106,8 +106,14 @@ def derivative_sum(f: ClassFunction, sigma: int) -> complex:
 
 
 def derivative_sums(f: ClassFunction) -> np.ndarray:
-    """Derivative sums along every direction, identity included."""
-    return f.values[f.group.cayley] @ np.conj(f.values)
+    """Derivative sums along every direction, identity included.
+
+    The shifted values are gathered one row block of the Cayley table at a
+    time, so no n x n array is formed.
+    """
+    conj = np.conj(f.values)
+    cayley = f.group.cayley
+    return np.concatenate([f.values[cayley[rows]] @ conj for rows in _row_blocks(len(cayley))])
 
 
 def _verdict(deviation: float, max_residual: float, n: int, tol: float) -> str:

@@ -50,7 +50,7 @@ _EIGENVECTOR_RESIDUAL_TOL = 1e-7
 #: Rounding allowance of the analytic orthogonality bound, per group element.
 _GRAM_ROUNDING_PER_ELEMENT = 8 * float(np.finfo(float).eps)
 
-#: Rows per block of the analytic bound's products, so no m x m temporary is formed.
+#: Rows per block of the products that would otherwise form an n x n temporary.
 _ROW_BLOCK = 64
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -87,6 +87,17 @@ class OrthogonalityReport:
     max_column_deviation: float
     tol: float
     passed: bool
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of ``_ROW_BLOCK`` rows covering ``range(n)``; the last may hold one more.
+
+    No block has exactly one row unless n == 1: numpy takes a one-row matrix
+    product down its dot path, which rounds differently from the same row of
+    a larger matrix-vector product.
+    """
+    starts = [0, *range(_ROW_BLOCK, n - 1, _ROW_BLOCK)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +154,7 @@ def _abelian_phi(factors: Sequence[int]) -> tuple[np.ndarray, float]:
         shifted = sliding_window_view(roots[np.arange(2 * m - 1) % m], m)
         delta = np.max([
             np.max(np.abs(np.multiply.outer(roots[rows], conj) - shifted[rows]))
-            for rows in (slice(a, a + _ROW_BLOCK) for a in range(0, m, _ROW_BLOCK))
+            for rows in _row_blocks(m)
         ])
         sums = block.sum(axis=1)
         sums[0] -= m
@@ -158,19 +169,16 @@ def _abelian_phi(factors: Sequence[int]) -> tuple[np.ndarray, float]:
 def _class_multiplication_matrices(group: Group) -> np.ndarray:
     """Tensor ``c[i, j, k]``: number of ways C_i * C_j lands on the class-k rep."""
     r = group.n_classes
-    n = group.order
     cls = np.asarray(group.class_of)
+    partners = group.cayley[group.inverses[:, None], group.class_reps]  # a -> a^{-1} z_k
     c = np.zeros((r, r, r), dtype=np.int64)
-    for k, z in enumerate(group.class_reps):
-        partners = group.cayley[group.inverses, z]  # a -> a^{-1} z
-        np.add.at(c, (cls, cls[partners], np.full(n, k)), 1)
+    np.add.at(c, (cls[:, None], cls[partners], np.arange(r)), 1)
     return c
 
 
 def _class_sum_rows(group: Group) -> np.ndarray:
     """All irreducible character rows (unsorted) via common class-sum eigenvectors."""
-    r = group.n_classes
-    n = group.order
+    r, n = group.n_classes, group.order
     if r > len(_PRIMES):
         raise CapabilityError(
             f"class-sum path supports at most {len(_PRIMES)} classes, got {r}"
@@ -178,8 +186,7 @@ def _class_sum_rows(group: Group) -> np.ndarray:
     sizes = np.asarray(group.class_sizes, dtype=float)
     mats = _class_multiplication_matrices(group)
     weights = np.sqrt(np.asarray(_PRIMES[:r], dtype=float))
-    mixed = np.tensordot(weights, mats.astype(float), axes=1)
-    _, vecs = np.linalg.eig(mixed)
+    _, vecs = np.linalg.eig(np.tensordot(weights, mats.astype(float), axes=1))
     rows = []
     for t in range(r):
         v = vecs[:, t]
@@ -187,17 +194,14 @@ def _class_sum_rows(group: Group) -> np.ndarray:
             raise NumericDegeneracyError(list(range(r)))
         v = v / v[0]
         anchor = int(np.argmax(np.abs(v)))
-        omegas = np.empty(r, dtype=complex)
-        failed = []
-        for i in range(r):
-            image = mats[i] @ v
-            lam = image[anchor] / v[anchor]
-            scale = max(1.0, float(np.max(np.abs(image))))
-            if np.max(np.abs(image - lam * v)) > _EIGENVECTOR_RESIDUAL_TOL * scale:
-                failed.append(i)
-            omegas[i] = lam
-        if failed:
-            raise NumericDegeneracyError(failed)
+        images = mats @ v  # row i is class sum i applied to v
+        # complex even when eig returns real vectors, as the rows must be
+        omegas = (images[:, anchor] / v[anchor]).astype(complex)
+        scale = np.maximum(1.0, np.max(np.abs(images), axis=1))
+        residual = np.max(np.abs(images - omegas[:, None] * v), axis=1)
+        failed = np.flatnonzero(residual > _EIGENVECTOR_RESIDUAL_TOL * scale)
+        if len(failed):
+            raise NumericDegeneracyError(failed.tolist())
         degree = math.sqrt(n / float(np.sum(np.abs(omegas) ** 2 / sizes)))
         rows.append(degree * omegas / sizes)
     return np.asarray(rows)
@@ -246,46 +250,33 @@ def _aligned_reference(group: Group) -> np.ndarray:
 
     A relabelled copy of a named group can list its classes in another order;
     columns are matched by (class size, element order) against the classes of
-    :func:`make_named`.  Classes sharing a key (Q8's i, j, k; D4's two
-    reflection classes) are permuted by automorphisms, which only permute the
-    reference rows.
+    :func:`make_named`, equal keys in class order.  Classes sharing a key
+    (Q8's i, j, k; D4's two reflection classes) are permuted by automorphisms,
+    which only permute the reference rows.
     """
-    named = make_named(group.name)
-    free: list = [(size, element_order(named, rep))
-                  for size, rep in zip(named.class_sizes, named.class_reps)]
-    columns = []
-    for size, rep in zip(group.class_sizes, group.class_reps):
-        key = (size, element_order(group, rep))
-        if key not in free:
-            raise ValueError(
-                f"conjugacy classes of {group.name} do not match the built-in reference"
-            )
-        columns.append(free.index(key))
-        free[columns[-1]] = None  # each reference column is used once
+    keys, named_keys = (np.array([size * (g.order + 1) + element_order(g, rep)
+                                  for size, rep in zip(g.class_sizes, g.class_reps)])
+                        for g in (group, make_named(group.name)))
+    order, named_order = np.argsort(keys, kind="stable"), np.argsort(named_keys, kind="stable")
+    if keys.shape != named_keys.shape or np.any(keys[order] != named_keys[named_order]):
+        raise ValueError(f"conjugacy classes of {group.name} do not match the built-in reference")
+    columns = np.empty_like(order)
+    columns[order] = named_order
     return _REFERENCE_TABLES[group.name][:, columns]
 
 
 def _match_reference(computed: np.ndarray, reference: np.ndarray, name: str) -> np.ndarray:
     """Reorder computed rows to the reference order, failing on any mismatch."""
-    r = reference.shape[0]
-    out = np.empty_like(computed)
-    used: set[int] = set()
-    for ridx in range(r):
-        best, best_dist = -1, np.inf
-        for cidx in range(r):
-            if cidx in used:
-                continue
-            dist = float(np.max(np.abs(computed[cidx] - reference[ridx])))
-            if dist < best_dist:
-                best, best_dist = cidx, dist
-        if best < 0 or best_dist > _REFERENCE_MATCH_TOL:
-            raise ValueError(
-                f"computed character table for {name} deviates from the built-in "
-                f"reference by {best_dist:.3e} (tolerance {_REFERENCE_MATCH_TOL:.0e})"
-            )
-        used.add(best)
-        out[ridx] = computed[best]
-    return out
+    dist = np.max(np.abs(reference[:, None, :] - computed[None, :, :]), axis=2)
+    best = np.argmin(dist, axis=1)
+    worst = float(np.max(dist[np.arange(len(best)), best]))
+    # a NaN distance fails the <= test
+    if not (worst <= _REFERENCE_MATCH_TOL and np.array_equal(np.sort(best), np.arange(len(best)))):
+        raise ValueError(
+            f"computed character table for {name} deviates from the built-in "
+            f"reference by {worst:.3e} (tolerance {_REFERENCE_MATCH_TOL:.0e})"
+        )
+    return computed[best]
 
 
 def _sort_rows(rows: np.ndarray) -> np.ndarray:
@@ -293,18 +284,13 @@ def _sort_rows(rows: np.ndarray) -> np.ndarray:
 
     Column 0 is the identity class, so the rest sort by degree first.
     """
-    r = rows.shape[0]
     trivial = int(np.argmin(np.max(np.abs(rows - 1.0), axis=1)))
-    if np.max(np.abs(rows[trivial] - 1.0)) > _REFERENCE_MATCH_TOL:
+    if np.max(np.abs(rows[trivial] - 1.0)) > _REFERENCE_MATCH_TOL:  # NaN fails later
         raise ValueError("no trivial character found in computed table")
-    rest = [i for i in range(r) if i != trivial]
-
-    def key(i: int) -> tuple:
-        row = np.round(rows[i], 9)
-        return tuple(float(v) for pair in zip(row.real, row.imag) for v in pair)
-
-    order = [trivial] + sorted(rest, key=key)
-    return rows[order]
+    rest = np.delete(np.arange(rows.shape[0]), trivial)
+    rounded = np.round(rows[rest], 9)
+    keys = np.stack((rounded.real, rounded.imag), axis=2).reshape(len(rest), -1)
+    return rows[np.concatenate(([trivial], rest[np.lexsort(keys.T[::-1])]))]
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +339,10 @@ def character_table(group: Group) -> CharacterTable:
         dev = _gram_deviation(group, class_values)
         phi = class_values[:, group.class_of].T.copy()
     degrees = np.round(class_values[:, 0].real)
-    if np.max(np.abs(class_values[:, 0] - degrees)) > _REFERENCE_MATCH_TOL:
+    # written as "not <=", so that a NaN degree or deviation fails too
+    if not np.max(np.abs(class_values[:, 0] - degrees)) <= _REFERENCE_MATCH_TOL:
         raise ValueError("computed character table has a non-integral degree")
-    if dev > _REFERENCE_MATCH_TOL:
+    if not dev <= _REFERENCE_MATCH_TOL:
         raise ValueError(f"character table failed orthogonality validation ({dev:.3e})")
     class_values.setflags(write=False)
     phi.setflags(write=False)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import CharacterTable, character_table
+from .characters import CharacterTable, _row_blocks, character_table
 from .groups import Group, _freeze, group_from_label
 
 __all__ = [
@@ -101,7 +101,9 @@ def to_coefficients(table: CharacterTable, values: Sequence[complex]) -> np.ndar
                     f"values are not constant on conjugacy class {c} "
                     f"(max deviation {dev:.3e} exceeds {SYNC_TOL:.0e})"
                 )
-    return np.conj(table.phi.T) @ v / group.order
+    # conj(phi.T) @ v, one block of characters at a time, with no n x n adjoint
+    adjoint_rows = [np.conj(table.phi[:, rows].T) @ v for rows in _row_blocks(table.n_irreps)]
+    return np.concatenate(adjoint_rows) / group.order
 
 
 def from_values(table: CharacterTable, values: Sequence[complex]) -> ClassFunction:

@@ -365,10 +365,8 @@ def element_order(group: Group, x: int) -> int:
 
 def conjugacy_classes(group: Group) -> list[list[int]]:
     """Conjugacy classes as sorted element lists, identity class first."""
-    out: list[list[int]] = [[] for _ in range(group.n_classes)]
-    for x in range(group.order):
-        out[int(group.class_of[x])].append(x)
-    return out
+    members = np.argsort(group.class_of, kind="stable")
+    return [c.tolist() for c in np.split(members, np.cumsum(group.class_sizes)[:-1])]
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,25 @@ def unit_phases(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(n))
 
 
+#: Orders around each multiple of the 64-row blocks, and larger groups.
+BLOCK_LABELS = [f"Z{n}" for n in range(1, 131)] + [
+    "Z469", "Z509", "Z512", "Z2xZ4xZ64", "S3", "Q8", "D4",
+]
+
+
+def class_constant_samples(rng: np.random.Generator, group) -> list[np.ndarray]:
+    """Value vectors constant on classes: unit phases, real, complex, constant and zero."""
+    r = group.n_classes
+    per_class = [
+        unit_phases(rng, r),
+        rng.standard_normal(r) + 0j,
+        rng.standard_normal(r) + 1j * rng.standard_normal(r),
+        np.full(r, 0.5 + 0j),
+        np.zeros(r, dtype=complex),
+    ]
+    return [v[group.class_of] for v in per_class]
+
+
 def flat_random_coefficients(rng: np.random.Generator, n: int) -> np.ndarray:
     return unit_phases(rng, n) / math.sqrt(n)
 

@@ -31,7 +31,14 @@ from bentgroups import (
 )
 from bentgroups.bentness import _row_max
 
-from conftest import brute_derivative_sums, brute_right_sums, brute_spectrum, unit_phases
+from conftest import (
+    BLOCK_LABELS,
+    brute_derivative_sums,
+    brute_right_sums,
+    brute_spectrum,
+    class_constant_samples,
+    unit_phases,
+)
 
 W3 = cmath.exp(2j * math.pi / 3)
 
@@ -333,3 +340,15 @@ def test_report_json_layout(z3_table, s3_table):
     assert len(obj["residuals"]) == 2
     obj2 = report_to_json(is_bent(from_coefficients(s3_table, np.array([1.0, 0, 0]))))
     assert set(obj2) == set(obj)
+
+
+def test_derivative_sums_are_the_full_gather_product_bit_for_bit():
+    """Row blocks give each row the bits of the one n x n gather they replace."""
+    rng = np.random.default_rng(15)
+    for label in BLOCK_LABELS:
+        group = group_from_label(label)
+        table = character_table(group)
+        for values in class_constant_samples(rng, group):
+            f = from_values(table, values)
+            full = f.values[group.cayley] @ np.conj(f.values)
+            assert derivative_sums(f).tobytes() == full.tobytes(), label

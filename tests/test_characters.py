@@ -14,7 +14,9 @@ import pytest
 from bentgroups import (
     BENT,
     CapabilityError,
+    NumericDegeneracyError,
     character_table,
+    element_order,
     from_coefficients,
     from_values,
     group_from_json,
@@ -219,13 +221,117 @@ RELABELLINGS = {
 }
 
 
+# The class-sum route as per-class loops, kept as the reference of its array form.
+
+
+def loop_multiplication_matrices(group) -> np.ndarray:
+    r, n = group.n_classes, group.order
+    cls = np.asarray(group.class_of)
+    c = np.zeros((r, r, r), dtype=np.int64)
+    for k, z in enumerate(group.class_reps):
+        partners = group.cayley[group.inverses, z]
+        np.add.at(c, (cls, cls[partners], np.full(n, k)), 1)
+    return c
+
+
+def loop_class_sum_rows(group) -> np.ndarray:
+    r, n = group.n_classes, group.order
+    sizes = np.asarray(group.class_sizes, dtype=float)
+    mats = loop_multiplication_matrices(group)
+    weights = np.sqrt(np.asarray(characters._PRIMES[:r], dtype=float))
+    _, vecs = np.linalg.eig(np.tensordot(weights, mats.astype(float), axes=1))
+    rows = []
+    for t in range(r):
+        v = vecs[:, t]
+        if abs(v[0]) < 1e-10:
+            raise NumericDegeneracyError(list(range(r)))
+        v = v / v[0]
+        anchor = int(np.argmax(np.abs(v)))
+        omegas = np.empty(r, dtype=complex)
+        failed = []
+        for i in range(r):
+            image = mats[i] @ v
+            lam = image[anchor] / v[anchor]
+            scale = max(1.0, float(np.max(np.abs(image))))
+            if np.max(np.abs(image - lam * v)) > characters._EIGENVECTOR_RESIDUAL_TOL * scale:
+                failed.append(i)
+            omegas[i] = lam
+        if failed:
+            raise NumericDegeneracyError(failed)
+        degree = math.sqrt(n / float(np.sum(np.abs(omegas) ** 2 / sizes)))
+        rows.append(degree * omegas / sizes)
+    return np.asarray(rows)
+
+
+def loop_aligned_reference(group) -> np.ndarray:
+    named = make_named(group.name)
+    free: list = [(size, element_order(named, rep))
+                  for size, rep in zip(named.class_sizes, named.class_reps)]
+    columns = []
+    for size, rep in zip(group.class_sizes, group.class_reps):
+        key = (size, element_order(group, rep))
+        if key not in free:
+            raise ValueError(f"conjugacy classes of {group.name} do not match the built-in reference")
+        columns.append(free.index(key))
+        free[columns[-1]] = None
+    return characters._REFERENCE_TABLES[group.name][:, columns]
+
+
+def loop_match_reference(computed: np.ndarray, reference: np.ndarray, name: str) -> np.ndarray:
+    r = reference.shape[0]
+    out = np.empty_like(computed)
+    used: set[int] = set()
+    for ridx in range(r):
+        best, best_dist = -1, np.inf
+        for cidx in range(r):
+            if cidx in used:
+                continue
+            dist = float(np.max(np.abs(computed[cidx] - reference[ridx])))
+            if dist < best_dist:
+                best, best_dist = cidx, dist
+        if best < 0 or best_dist > characters._REFERENCE_MATCH_TOL:
+            raise ValueError(f"computed character table for {name} deviates from the built-in reference")
+        used.add(best)
+        out[ridx] = computed[best]
+    return out
+
+
+def loop_sort_rows(rows: np.ndarray) -> np.ndarray:
+    trivial = int(np.argmin(np.max(np.abs(rows - 1.0), axis=1)))
+    rest = [i for i in range(rows.shape[0]) if i != trivial]
+
+    def key(i: int) -> tuple:
+        row = np.round(rows[i], 9)
+        return tuple(float(v) for pair in zip(row.real, row.imag) for v in pair)
+
+    return rows[[trivial] + sorted(rest, key=key)]
+
+
+def loop_class_values(group) -> np.ndarray:
+    """The class values the loop route gives ``group``."""
+    rows = loop_class_sum_rows(group)
+    if group.name in characters._REFERENCE_TABLES:
+        return loop_match_reference(rows, loop_aligned_reference(group), group.name)
+    return loop_sort_rows(rows)
+
+
+def assert_loop_class_values(table) -> None:
+    mats = characters._class_multiplication_matrices(table.group)
+    assert np.array_equal(mats, loop_multiplication_matrices(table.group))
+    want = loop_class_values(table.group)
+    assert table.class_values.dtype == want.dtype and table.class_values.shape == want.shape
+    assert table.class_values.tobytes() == want.tobytes(), table.group.name
+
+
 @pytest.mark.parametrize("name", ["S3", "Q8", "D4"])
 def test_relabelled_named_groups_get_their_table(name):
     """Relabelling can reorder the classes; the reference columns follow them."""
     canonical = character_table(make_named(name))
+    assert_loop_class_values(canonical)
     for perm in RELABELLINGS[name]:
         group = relabelled_named(name, perm)
         table = character_table(group)
+        assert_loop_class_values(table)
         assert verify_orthogonality(table).passed
         assert table.degrees == canonical.degrees
         # character values at perm[x] are the canonical ones at x, up to the
@@ -234,6 +340,76 @@ def test_relabelled_named_groups_get_their_table(name):
         if name == "S3":
             np.testing.assert_allclose(moved, canonical.phi, atol=1e-9)
         assert character_set(moved) == character_set(canonical.phi)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_loaded_dihedral_tables_match_the_loop_route(m):
+    table = character_table(group_from_json(dihedral_json(m)))
+    assert table.group.abelian_factors is None
+    assert_loop_class_values(table)
+
+
+def anonymous(label: str):
+    obj = group_to_json(group_from_label(label))
+    obj["name"] = f"anon-{label}"
+    return group_from_json(obj)
+
+
+def test_unnamed_class_sum_tables_match_the_loop_route():
+    for label in ("S3", "Q8", "D4", "Z2xZ2", "Z3", "Z2xZ4", "Z12"):
+        assert_loop_class_values(character_table(anonymous(label)))
+
+
+def test_a_deviating_reference_match_is_rejected(monkeypatch):
+    group = relabelled_named("S3", np.array([0, 2, 1, 5, 4, 3]))
+    rows = loop_class_sum_rows(group)
+    rows[np.argmax(rows[:, 0].real), 2] += 1e-6
+    monkeypatch.setattr(characters, "_class_sum_rows", lambda group: rows)
+    with pytest.raises(ValueError, match="S3 deviates from the built-in reference"):
+        character_table(group)
+
+
+@pytest.mark.parametrize("table_of, name", [("Z6", "S3"), ("D4", "Q8"), ("Q8", "D4")])
+def test_class_keys_that_miss_the_reference_are_rejected(table_of, name):
+    obj = group_to_json(group_from_label(table_of))
+    obj["name"] = name
+    with pytest.raises(ValueError, match=f"classes of {name} do not match the built-in reference"):
+        character_table(group_from_json(obj))
+
+
+def mixing_eig(column: int, *, zero_first: bool = False):
+    """``np.linalg.eig`` with eigenvector 0 mixed into eigenvector ``column``,
+    or with that eigenvector's first entry zeroed."""
+    eig = np.linalg.eig
+
+    def mixed(matrix):
+        values, vectors = eig(matrix)
+        vectors = vectors.astype(complex)
+        if zero_first:
+            vectors[0, column] = 0.0
+        else:
+            vectors[:, column] += vectors[:, 0] * (vectors[0, column] / vectors[0, 0])
+        return values, vectors
+
+    return mixed
+
+
+@pytest.mark.parametrize("label", ["S3", "Q8", "D4", "D5"])
+@pytest.mark.parametrize("column", [1, 2])
+@pytest.mark.parametrize("zero_first", [False, True])
+def test_degenerate_eigenvectors_name_the_failing_class_sums(monkeypatch, label, column, zero_first):
+    group = group_from_json(dihedral_json(5)) if label == "D5" else anonymous(label)
+    monkeypatch.setattr(np.linalg, "eig", mixing_eig(column, zero_first=zero_first))
+    with pytest.raises(NumericDegeneracyError) as want:
+        loop_class_sum_rows(group)
+    with pytest.raises(NumericDegeneracyError) as got:
+        characters._class_sum_rows(group)
+    assert got.value.failed_class_sums == want.value.failed_class_sums
+    assert str(got.value) == str(want.value)
+    if zero_first:
+        assert got.value.failed_class_sums == list(range(group.n_classes))
+    else:  # the identity class sum is the identity matrix, which never fails
+        assert 0 not in got.value.failed_class_sums and got.value.failed_class_sums
 
 
 def test_named_label_on_another_group_is_rejected():
@@ -434,6 +610,48 @@ def test_corrupted_roots_fail_the_analytic_orthogonality_check(monkeypatch, corr
     monkeypatch.setattr(characters, "_roots_of_unity", lambda m: corrupt(exact(m)))
     with pytest.raises(ValueError, match="failed orthogonality validation"):
         character_table.__wrapped__(make_cyclic(8))
+
+
+def test_a_nan_root_fails_the_analytic_orthogonality_check(monkeypatch):
+    exact = characters._roots_of_unity
+
+    def nan_root(m):
+        roots = exact(m)
+        roots[3] = complex(math.nan, math.nan)
+        return roots
+
+    monkeypatch.setattr(characters, "_roots_of_unity", nan_root)
+    with pytest.raises(ValueError, match=r"failed orthogonality validation \(nan\)"):
+        character_table.__wrapped__(make_cyclic(8))
+
+
+def nan_rows(group, column: int) -> np.ndarray:
+    """The class-sum rows of ``group`` with one entry of its degree-2 row NaN."""
+    rows = loop_class_sum_rows(group)
+    rows[np.argmax(rows[:, 0].real), column] = complex(math.nan, 0.0)
+    return rows
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_nan_class_sum_rows_fail_on_the_reference_route(monkeypatch, column):
+    group = relabelled_named("S3", np.array([0, 2, 1, 5, 4, 3]))
+    rows = nan_rows(group, column)
+    monkeypatch.setattr(characters, "_class_sum_rows", lambda group: rows)
+    with pytest.raises(ValueError, match="S3 deviates from the built-in reference"):
+        character_table(group)
+
+
+@pytest.mark.parametrize("column, message", [
+    (0, "non-integral degree"),
+    (1, r"failed orthogonality validation \(nan\)"),
+    (2, r"failed orthogonality validation \(nan\)"),
+])
+def test_nan_class_sum_rows_fail_on_the_sorted_route(monkeypatch, column, message):
+    group = anonymous("S3")
+    rows = nan_rows(group, column)
+    monkeypatch.setattr(characters, "_class_sum_rows", lambda group: rows)
+    with pytest.raises(ValueError, match=message):
+        character_table(group)
 
 
 def test_analytic_phi_is_the_gathered_class_values():

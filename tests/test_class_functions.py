@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,3 +205,38 @@ def test_pairs_from_the_float_view_are_the_per_element_floats():
         old = [[float(v.real), float(v.imag)] for v in arr]
         assert repr(_pairs(arr)) == repr(old)
         assert all(type(x) is float for pair in _pairs(arr) for x in pair)
+
+
+#: Compares ``to_coefficients`` with the full adjoint product it replaces,
+#: ``np.conj(phi.T) @ v / n``, and prints the labels whose bits differ.
+_BLOCKED_PROJECTION = """
+import numpy as np
+from bentgroups import character_table, group_from_label, to_coefficients
+from conftest import BLOCK_LABELS, class_constant_samples
+rng = np.random.default_rng(16)
+differ = []
+for label in BLOCK_LABELS:
+    table = character_table(group_from_label(label))
+    for v in class_constant_samples(rng, table.group):
+        full = np.conj(table.phi.T) @ v / table.group.order
+        if to_coefficients(table, v).tobytes() != full.tobytes():
+            differ.append(label)
+print(sorted(set(differ)))
+"""
+
+
+def test_to_coefficients_is_the_full_adjoint_product_bit_for_bit():
+    """With one BLAS thread.  At more threads OpenBLAS splits the rows of the
+    full product between threads at points that depend on their number, and
+    the last bits of the full product move with that split."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_PROJECTION],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
