@@ -50,7 +50,7 @@ _EIGENVECTOR_RESIDUAL_TOL = 1e-7
 #: Rounding allowance of the analytic orthogonality bound, per group element.
 _GRAM_ROUNDING_PER_ELEMENT = 8 * float(np.finfo(float).eps)
 
-#: Rows per block of the products that would otherwise form an n x n temporary.
+#: Rows per block of the m x m products of the analytic orthogonality bound.
 _ROW_BLOCK = 64
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -87,17 +87,6 @@ class OrthogonalityReport:
     max_column_deviation: float
     tol: float
     passed: bool
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """Slices of ``_ROW_BLOCK`` rows covering ``range(n)``; the last may hold one more.
-
-    No block has exactly one row unless n == 1: numpy takes a one-row matrix
-    product down its dot path, which rounds differently from the same row of
-    a larger matrix-vector product.
-    """
-    starts = [0, *range(_ROW_BLOCK, n - 1, _ROW_BLOCK)]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +141,9 @@ def _abelian_phi(factors: Sequence[int]) -> tuple[np.ndarray, float]:
         # roots[a + c], a sliding window over roots[(0 .. 2m - 2) % m]
         conj = np.conj(roots)[-index]
         shifted = sliding_window_view(roots[np.arange(2 * m - 1) % m], m)
-        delta = np.max([
-            np.max(np.abs(np.multiply.outer(roots[rows], conj) - shifted[rows]))
-            for rows in _row_blocks(m)
-        ])
+        blocks = (slice(a, a + _ROW_BLOCK) for a in range(0, m, _ROW_BLOCK))
+        delta = np.max([np.max(np.abs(np.multiply.outer(roots[rows], conj) - shifted[rows]))
+                        for rows in blocks])
         sums = block.sum(axis=1)
         sums[0] -= m
         growth *= 1.0 + float(np.max(np.abs(sums))) / m + float(delta)
@@ -357,6 +345,19 @@ def character_table(group: Group) -> CharacterTable:
 
 # ---------------------------------------------------------------------------
 # operations
+
+
+def project(table: CharacterTable, v: np.ndarray) -> np.ndarray:
+    """The coefficients ``conj(phi)^T v / n`` of complex values ``v``.
+
+    One bincount per part gives the conjugated class sums.  Their r x r product
+    with the C-contiguous class values gives the same bits at any number of
+    BLAS threads."""
+    group = table.group
+    classes, r = group.class_of, group.n_classes
+    conj_sums = (np.bincount(classes, weights=v.real, minlength=r)
+                 - 1j * np.bincount(classes, weights=v.imag, minlength=r))
+    return np.conj(table.class_values @ conj_sums) / group.order
 
 
 def inner_product(table: CharacterTable, u: Sequence[complex], v: Sequence[complex]) -> complex:

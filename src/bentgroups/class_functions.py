@@ -2,8 +2,8 @@
 
 A class function is stored with both representations kept in sync: the
 coefficient vector ``a`` with ``f = sum_i a_i chi_i`` and the pointwise value
-vector ``f(x)`` over all elements.  Conversions go through the character
-value matrix ``phi`` and its adjoint.
+vector ``f(x)`` over all elements.  Coefficients become values as
+``phi @ a``; values become coefficients through :func:`characters.project`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import CharacterTable, _row_blocks, character_table
+from .characters import CharacterTable, character_table, project
 from .groups import Group, _freeze, group_from_label
 
 __all__ = [
@@ -30,8 +30,8 @@ __all__ = [
     "to_coefficients",
 ]
 
-#: Maximum per-element deviation allowed between the two representations and
-#: within a conjugacy class for pointwise input.
+#: Maximum per-element deviation from its class mean allowed in pointwise
+#: input, relative to ``max(1, max|v|)``.
 SYNC_TOL = 1e-9
 
 
@@ -83,8 +83,9 @@ def from_coefficients(table: CharacterTable, coefficients: Sequence[complex]) ->
 def to_coefficients(table: CharacterTable, values: Sequence[complex]) -> np.ndarray:
     """Project pointwise values onto the character basis.
 
-    The input must be constant on conjugacy classes to within ``SYNC_TOL``;
-    otherwise a ValueError names the first offending class.
+    The input must be constant on conjugacy classes: no value may lie more
+    than ``SYNC_TOL * max(1, max|v|)`` from its class mean, which is
+    ``phi @ a`` there.  Otherwise a ValueError names the first offending class.
     """
     group = table.group
     v = np.asarray(values, dtype=complex)
@@ -92,18 +93,17 @@ def to_coefficients(table: CharacterTable, values: Sequence[complex]) -> np.ndar
         raise ValueError(
             f"expected {group.order} values for {group.name}, got shape {v.shape}"
         )
+    a = project(table, v)
     if not group.is_abelian:  # otherwise every class is a singleton
-        for c in range(group.n_classes):
-            members = v[group.class_of == c]
-            dev = float(np.max(np.abs(members - members.mean())))
-            if dev > SYNC_TOL:
-                raise ValueError(
-                    f"values are not constant on conjugacy class {c} "
-                    f"(max deviation {dev:.3e} exceeds {SYNC_TOL:.0e})"
-                )
-    # conj(phi.T) @ v, one block of characters at a time, with no n x n adjoint
-    adjoint_rows = [np.conj(table.phi[:, rows].T) @ v for rows in _row_blocks(table.n_irreps)]
-    return np.concatenate(adjoint_rows) / group.order
+        dev = np.abs(table.phi @ a - v)
+        bound = SYNC_TOL * max(1.0, float(np.max(np.abs(v))))
+        if np.any(dev > bound):
+            c = int(np.min(group.class_of[dev > bound]))
+            raise ValueError(
+                f"values are not constant on conjugacy class {c} (max deviation "
+                f"{np.max(dev[group.class_of == c]):.3e} exceeds {bound:.3e})"
+            )
+    return a
 
 
 def from_values(table: CharacterTable, values: Sequence[complex]) -> ClassFunction:

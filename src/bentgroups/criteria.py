@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import CharacterTable
+from .characters import CharacterTable, project
 
 __all__ = [
     "CriterionOutcome",
@@ -110,9 +110,9 @@ def solve_magnitude_system(
     By generalized orthogonality the derivative sums of f = sum_i a_i chi_i
     are D(x) = n * sum_i |a_i|^2 chi_i(x) / d_i, so with m_i = |a_i|^2 this is
     the system D / n = y.  Row orthogonality inverts it exactly:
-    m = d * conj(Phi)^T y / n.  ``y`` defaults to the profile of a bent
-    function, 1 at the identity and 0 elsewhere, whose solution is the forced
-    magnitudes m_i = d_i^2 / n (1/n on abelian groups).
+    m = d * conj(Phi)^T y / n, one :func:`project`.  ``y`` defaults to the
+    profile of a bent function, 1 at the identity and 0 elsewhere, whose
+    solution is the forced magnitudes m_i = d_i^2 / n (1/n on abelian groups).
     Returns (m, max residual of Phi (m / d) - y).
     """
     group = table.group
@@ -124,7 +124,7 @@ def solve_magnitude_system(
     if y.shape != (n,):
         raise ValueError(f"expected a length-{n} right-hand side, got shape {y.shape}")
     d = np.asarray(table.degrees, dtype=float)
-    m = d * (np.conj(table.phi.T) @ y) / n
+    m = d * project(table, y)
     residual = float(np.max(np.abs(table.phi @ (m / d) - y)))
     return m, residual
 

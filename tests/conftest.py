@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bentgroups import character_table, group_from_label
+from bentgroups import character_table, group_from_json, group_from_label, group_to_json
 
 
 def brute_derivative_sums(cayley, values) -> list[complex]:
@@ -102,6 +102,16 @@ def class_constant_samples(rng: np.random.Generator, group) -> list[np.ndarray]:
         np.zeros(r, dtype=complex),
     ]
     return [v[group.class_of] for v in per_class]
+
+
+def relabelled(group, perm):
+    """``group`` with element x renamed perm[x], loaded through group_from_json."""
+    perm = np.asarray(perm)
+    cayley = np.empty_like(group.cayley)
+    cayley[np.ix_(perm, perm)] = perm[group.cayley]
+    obj = group_to_json(group)
+    obj.update(name="relabelled", cayley=cayley.tolist(), identity=int(perm[group.identity]))
+    return group_from_json(obj)
 
 
 def flat_random_coefficients(rng: np.random.Generator, n: int) -> np.ndarray:

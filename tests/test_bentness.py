@@ -25,9 +25,11 @@ from bentgroups import (
     is_bent_spectral,
     make_bent_cyclic,
     make_cyclic,
+    make_named,
     oracle_verdicts,
     report_to_json,
     spectrum,
+    zadoff_chu,
 )
 from bentgroups.bentness import _row_max
 
@@ -37,6 +39,7 @@ from conftest import (
     brute_right_sums,
     brute_spectrum,
     class_constant_samples,
+    relabelled,
     unit_phases,
 )
 
@@ -194,14 +197,15 @@ def test_spectral_verdict_matches_is_bent_on_nonabelian_groups(label):
 
 
 @pytest.mark.parametrize("label", [*(f"Z{n}" for n in range(2, 13)), "V4", "Z2xZ4"])
-def test_abelian_spectrum_bit_identical_to_the_undivided_transform(label):
-    """On abelian groups every degree is 1, so dividing by d_i^2 is exact."""
+def test_abelian_spectrum_matches_the_undivided_transform(label):
+    """On abelian groups every degree is 1, so the spectrum is |conj(phi.T) @ v|^2,
+    up to the rounding of the class-sum projection."""
     table = character_table(group_from_label(label))
     functions = verdict_batch(table, np.random.default_rng(table.group.order))
     values = np.array([f.values for f in functions])
     for f in functions:
         old = np.abs(np.conj(table.phi.T) @ f.values) ** 2
-        assert spectrum(f).tobytes() == old.tobytes()
+        np.testing.assert_allclose(spectrum(f), old, rtol=1e-13, atol=1e-13)
     n, deviation = table.group.order, np.max(np.abs(np.abs(values) - 1.0), axis=1)
     old_spectra = np.abs(values @ np.conj(table.phi)) ** 2
     for tol in (1e-8, 1e-12, 1e-30):
@@ -343,7 +347,7 @@ def test_report_json_layout(z3_table, s3_table):
 
 
 def test_derivative_sums_are_the_full_gather_product_bit_for_bit():
-    """Row blocks give each row the bits of the one n x n gather they replace."""
+    """The oracle is one n x n gather and one product."""
     rng = np.random.default_rng(15)
     for label in BLOCK_LABELS:
         group = group_from_label(label)
@@ -352,3 +356,101 @@ def test_derivative_sums_are_the_full_gather_product_bit_for_bit():
             f = from_values(table, values)
             full = f.values[group.cayley] @ np.conj(f.values)
             assert derivative_sums(f).tobytes() == full.tobytes(), label
+
+
+# ---------------------------------------------------------------------------
+# is_bent's closed form against the brute-force oracle
+
+
+def assert_closed_form_matches_oracle(f, tol: float = 1e-8) -> None:
+    """``is_bent``'s residuals are within ``n^2 eps max|v|^2`` plus its slack
+    of the brute-force sums, and its verdict is the oracle's."""
+    group = f.group
+    n = group.order
+    report = is_bent(f, tol)
+    oracle = derivative_sums(f)[np.arange(n) != group.identity]
+    peak = float(np.max(np.abs(f.values)))
+    s = f.sync_residual
+    slack = n * s * (2.0 * peak + 3.0 * s)
+    bound = n * n * np.finfo(float).eps * peak**2 + slack
+    assert np.max(np.abs(report.residuals - oracle), initial=0.0) <= bound, group.name
+    oracle_max = float(np.max(np.abs(oracle), initial=0.0))
+    if report.unimodular_deviation > tol:
+        expected = NOT_UNIMODULAR
+    else:
+        expected = BENT if oracle_max <= n * tol else NOT_BENT
+    assert report.verdict == expected, group.name
+
+
+def zadoff_chu_functions(n: int, roots) -> list:
+    """Zadoff-Chu coefficients on Z_n, and the same functions as pointwise input."""
+    table = character_table(make_cyclic(n))
+    out = []
+    for u in roots:
+        f = from_coefficients(table, zadoff_chu(n, u) / math.sqrt(n))
+        out += [f, from_values(table, f.values)]
+    return out
+
+
+def test_closed_form_matches_the_oracle_on_every_zadoff_chu_up_to_64():
+    for n in range(1, 65):
+        for f in zadoff_chu_functions(n, [u for u in range(1, n + 1) if math.gcd(u, n) == 1]):
+            assert f.sync_residual < 1e-12
+            assert_closed_form_matches_oracle(f)
+            assert is_bent(f).verdict == BENT
+
+
+@pytest.mark.parametrize("n", [469, 509, 512])
+def test_closed_form_matches_the_oracle_on_large_zadoff_chu(n):
+    for f in zadoff_chu_functions(n, [1, 3, n - 1]):
+        assert_closed_form_matches_oracle(f)
+        assert is_bent(f).verdict == BENT
+
+
+@pytest.mark.parametrize("label", ["Z2", "Z7", "Z12", "Z64", "Z125", "V4", "Z2xZ4xZ8"])
+def test_closed_form_matches_the_oracle_on_random_unit_phases(label):
+    table = character_table(group_from_label(label))
+    rng = np.random.default_rng(table.group.order)
+    n, r = table.group.order, table.n_irreps
+    for _ in range(10):
+        assert_closed_form_matches_oracle(from_values(table, unit_phases(rng, n)))
+        assert_closed_form_matches_oracle(from_coefficients(table, unit_phases(rng, r)))
+    for tol in (1e-8, 1e-12):
+        assert_closed_form_matches_oracle(from_values(table, unit_phases(rng, n)), tol)
+
+
+def test_closed_form_matches_the_oracle_on_relabelled_groups():
+    rng = np.random.default_rng(41)
+    relabellings = [
+        (make_cyclic(4), np.array([2, 0, 1, 3])),
+        (make_cyclic(6), np.array([5, 3, 0, 4, 1, 2])),
+        (make_named("S3"), np.array([3, 1, 4, 0, 5, 2])),
+        (make_named("Q8"), rng.permutation(8)),
+        (make_named("D4"), rng.permutation(8)),
+    ]
+    for base, perm in relabellings:
+        group = relabelled(base, perm)
+        table = character_table(group)
+        for v in class_constant_samples(rng, group):
+            assert_closed_form_matches_oracle(from_values(table, v))
+        if base.abelian_factors is not None:  # the Zadoff-Chu witness, relabelled
+            witness = np.empty(group.order, dtype=complex)
+            witness[perm] = zadoff_chu(base.order, 1)
+            f = from_values(table, witness)
+            assert_closed_form_matches_oracle(f)
+            assert is_bent(f).verdict == BENT
+
+
+@pytest.mark.parametrize("label", ["S3", "Q8", "D4"])
+def test_closed_form_matches_the_oracle_on_perturbed_pointwise_input(label):
+    """Values off their class means by up to 5e-10: the slack covers the gap
+    between the sums of v and of its projection."""
+    table = character_table(group_from_label(label))
+    group = table.group
+    rng = np.random.default_rng(group.order + len(label))
+    for _ in range(50):
+        for v in class_constant_samples(rng, group):
+            noise = 5e-10 * rng.random(group.order) * unit_phases(rng, group.order)
+            f = from_values(table, v + noise)
+            assert f.sync_residual <= 1e-9
+            assert_closed_form_matches_oracle(f)

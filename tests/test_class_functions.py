@@ -24,10 +24,14 @@ from bentgroups import (
     is_unimodular,
     load_class_function,
     make_cyclic,
+    make_named,
     save_class_function,
     to_coefficients,
 )
+from bentgroups.characters import project
 from bentgroups.class_functions import _pairs
+
+from conftest import BLOCK_LABELS, class_constant_samples, relabelled
 
 complex_coeff = st.builds(
     complex,
@@ -207,36 +211,94 @@ def test_pairs_from_the_float_view_are_the_per_element_floats():
         assert all(type(x) is float for pair in _pairs(arr) for x in pair)
 
 
-#: Compares ``to_coefficients`` with the full adjoint product it replaces,
-#: ``np.conj(phi.T) @ v / n``, and prints the labels whose bits differ.
-_BLOCKED_PROJECTION = """
+def projection_groups():
+    """Every group of ``BLOCK_LABELS``, then Z4 and S3 relabelled so that their
+    classes are not listed in element order."""
+    return [group_from_label(label) for label in BLOCK_LABELS] + [
+        relabelled(make_cyclic(4), [2, 0, 1, 3]),
+        relabelled(make_named("S3"), [3, 1, 4, 0, 5, 2]),
+    ]
+
+
+def test_project_matches_the_adjoint_product():
+    """``project`` sums over classes first; it agrees with ``conj(phi.T) @ v / n``
+    to within the rounding of a length-n sum."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(16)
+    for group in projection_groups():
+        table = character_table(group)
+        n = group.order
+        for v in class_constant_samples(rng, group):
+            adjoint = np.conj(table.phi.T) @ v / n
+            atol = n * eps * max(1.0, float(np.max(np.abs(v))))
+            np.testing.assert_allclose(project(table, v), adjoint, rtol=0, atol=atol,
+                                       err_msg=group.name)
+
+
+#: Prints a digest of ``project``'s bits on every group of ``BLOCK_LABELS``.
+_PROJECTION_DIGEST = """
+import hashlib
 import numpy as np
-from bentgroups import character_table, group_from_label, to_coefficients
+from bentgroups import character_table, group_from_label
+from bentgroups.characters import project
 from conftest import BLOCK_LABELS, class_constant_samples
 rng = np.random.default_rng(16)
-differ = []
 for label in BLOCK_LABELS:
     table = character_table(group_from_label(label))
+    digest = hashlib.sha256()
     for v in class_constant_samples(rng, table.group):
-        full = np.conj(table.phi.T) @ v / table.group.order
-        if to_coefficients(table, v).tobytes() != full.tobytes():
-            differ.append(label)
-print(sorted(set(differ)))
+        digest.update(project(table, v).tobytes())
+    print(label, digest.hexdigest())
 """
 
 
-def test_to_coefficients_is_the_full_adjoint_product_bit_for_bit():
-    """With one BLAS thread.  At more threads OpenBLAS splits the rows of the
-    full product between threads at points that depend on their number, and
-    the last bits of the full product move with that split."""
+def test_project_bits_do_not_depend_on_the_blas_thread_count():
+    """OpenBLAS splits a product between threads at points that depend on their
+    number; the r x r product of ``project`` gives the same bits at one and two."""
     tests = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", _BLOCKED_PROJECTION],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _PROJECTION_DIGEST],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert len(outputs[0].splitlines()) == len(BLOCK_LABELS)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("label", ["S3", "Q8", "D4"])
+@pytest.mark.parametrize("scale", [1e7, 1e50, 1e150])
+def test_class_constant_input_is_accepted_at_any_scale(label, scale):
+    """The class-mean gate is relative to max|v|: the rounding of a mean at a
+    large scale is no deviation from it."""
+    table = character_table(group_from_label(label))
+    group = table.group
+    rng = np.random.default_rng(7)
+    samples = [v * scale for v in class_constant_samples(rng, group)]
+    samples += [scale * rng.standard_normal(group.n_classes)[group.class_of] for _ in range(200)]
+    for v in samples:
+        f = from_values(table, v)
+        peak = max(1.0, float(np.max(np.abs(v))))
+        np.testing.assert_allclose(f.values, v)
+        assert f.sync_residual <= 1e-12 * peak
+
+
+def test_unit_scale_outliers_are_still_rejected(s3_table):
+    group = s3_table.group
+    v = np.ones(6, dtype=complex)
+    v[np.flatnonzero(group.class_of == 1)[0]] += 2e-9  # 1.3e-9 from its class mean
+    with pytest.raises(ValueError, match="class 1 "):
+        from_values(s3_table, v)
+    v[np.flatnonzero(group.class_of == 2)[0]] += 1e-3
+    with pytest.raises(ValueError, match="class 1 "):  # the first offending class
+        from_values(s3_table, v)
+    v = np.ones(6, dtype=complex)
+    v[np.flatnonzero(group.class_of == 1)[0]] += 5e-10
+    assert from_values(s3_table, v).sync_residual < 1e-9

@@ -20,9 +20,7 @@ from bentgroups import (
     derivative_sums,
     from_coefficients,
     from_values,
-    group_from_json,
     group_from_label,
-    group_to_json,
     impossibility_certificate,
     is_bent,
     klein_criterion,
@@ -35,7 +33,7 @@ from bentgroups import (
     solve_q8_system,
 )
 
-from conftest import brute_lag_sums, flat_random_coefficients
+from conftest import brute_lag_sums, flat_random_coefficients, relabelled
 
 BENT_V4 = np.array([1.0, -1j, -1j, -1.0]) / 2.0  # tensor square of (1, -i)/sqrt(2)
 
@@ -87,15 +85,18 @@ def abelian_inverse_solve(table, y=None):
 
 
 @pytest.mark.parametrize("label", [*(f"Z{n}" for n in range(1, 65)), "Z2xZ4", "V4"])
-def test_magnitude_system_bit_identical_to_abelian_inverse(label):
+def test_magnitude_system_matches_the_abelian_inverse(label):
+    """Within the rounding of a length-n sum: the solver projects by class sums."""
     table = character_table(group_from_label(label))
     n = table.group.order
+    atol = n * np.finfo(float).eps
     rng = np.random.default_rng(n)
     for y in (None, rng.standard_normal(n) + 1j * rng.standard_normal(n)):
         w, residual = solve_magnitude_system(table, y)
         w_ref, residual_ref = abelian_inverse_solve(table, y)
-        assert w.tobytes() == w_ref.tobytes()
-        assert residual == residual_ref
+        scale = 1.0 if y is None else float(np.max(np.abs(y)))
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=atol * scale)
+        assert residual <= atol * scale and residual_ref <= atol * scale
 
 
 @pytest.mark.parametrize("label", ["S3", "Q8", "D4", "V4", "Z6", "Z2xZ4"])
@@ -122,16 +123,6 @@ def test_forced_magnitudes_on_every_group(label):
             assert gap == pytest.approx(4.0 * abs(a[4]), abs=1e-12)
             assert gap == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
             assert gap > 2.0
-
-
-def relabelled(group, perm):
-    """``group`` with element x renamed perm[x], loaded through group_from_json."""
-    perm = np.asarray(perm)
-    cayley = np.empty_like(group.cayley)
-    cayley[np.ix_(perm, perm)] = perm[group.cayley]
-    obj = group_to_json(group)
-    obj.update(name="relabelled", cayley=cayley.tolist(), identity=int(perm[group.identity]))
-    return group_from_json(obj)
 
 
 def test_magnitude_system_default_rhs_sits_at_the_identity():
