@@ -74,9 +74,10 @@ class BentReport:
     from the closed form ``D(sigma) = n * sum_i |a_i|^2 chi_i(sigma) / d_i``.
     That form is exact for ``p = phi @ a``.  Pointwise values ``v`` lie within
     ``s = sync_residual`` of p, which moves each sum by at most
-    ``slack = n * s * (2 * max|v| + 3 * s)`` (0 on coefficient input).  The
+    ``slack = n * s * (2 * max|v| + 3 * s)`` (0.0 on coefficient input).  The
     verdict is BENT when the function is unimodular within ``tol`` and
-    ``max_residual + slack <= order * tol``; the residuals carry no slack.  The
+    ``max_residual + slack <= order * tol``; the residuals carry no slack, and
+    ``slack`` is reported beside them so the verdict can be re-derived.  The
     derivative sum at the identity always equals the total energy and never
     enters the verdict.  Right translates need no separate check: a class
     function has ``f(x sigma) = f(sigma x)``, so they give the same sums.
@@ -86,6 +87,7 @@ class BentReport:
     verdict: str
     residuals: np.ndarray
     max_residual: float
+    slack: float
     unimodular_deviation: float
     tol: float
 
@@ -138,6 +140,7 @@ def is_bent(f: ClassFunction, tol: float = 1e-8) -> BentReport:
         verdict=_verdict(deviation, max_residual + slack, n, tol),
         residuals=residuals,
         max_residual=max_residual,
+        slack=slack,
         unimodular_deviation=deviation,
         tol=tol,
     )
@@ -195,6 +198,7 @@ def report_to_json(report: BentReport) -> dict:
         "group": report.group,
         "verdict": report.verdict,
         "max_residual": report.max_residual,
+        "slack": report.slack,
         "unimodular_deviation": report.unimodular_deviation,
         "tol": report.tol,
         "residuals": _pairs(report.residuals),

@@ -136,14 +136,18 @@ def _pairs(arr: np.ndarray) -> list[list[float]]:
 
 
 def class_function_to_json(f: ClassFunction) -> dict:
-    """JSON dict carrying both representations plus their sync residual."""
-    primary = f.coefficients if f.basis == "coefficients" else f.values
+    """JSON dict carrying both representations plus their sync residual.
+
+    ``data`` is the same list object as the entry of the representation named
+    by ``basis``, so a writer can render it once.
+    """
+    coefficients, values = _pairs(f.coefficients), _pairs(f.values)
     return {
         "group": f.group.name,
         "basis": f.basis,
-        "data": _pairs(primary),
-        "coefficients": _pairs(f.coefficients),
-        "values": _pairs(f.values),
+        "data": coefficients if f.basis == "coefficients" else values,
+        "coefficients": coefficients,
+        "values": values,
         "sync_residual": f.sync_residual,
     }
 
@@ -182,7 +186,7 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed class-function JSON: {exc}") from exc
     if table is None:
-        table = character_table(group_from_label(label))
+        group = group_from_label(label)
     elif label != table.group.name and group_from_label(label).name != table.group.name:
         raise ValueError(
             f"class-function JSON is for group {label!r}, not {table.group.name!r}"
@@ -190,6 +194,8 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
     payload = _from_pairs(data)
     if basis not in ("coefficients", "pointwise"):
         raise ValueError(f"unknown basis {basis!r}; expected 'coefficients' or 'pointwise'")
+    if table is None:  # built last, so that a malformed file costs no table
+        table = character_table(group)
     build = from_coefficients if basis == "coefficients" else from_values
     with np.errstate(over="ignore", invalid="ignore"):
         f = build(table, payload)

@@ -51,7 +51,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def _dumps(obj: dict) -> str:
     """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"`` for str-keyed dicts,
     byte for byte, without :mod:`json`'s pure-Python indenting encoder.  Each
-    list of ``[re, im]`` float pairs renders through one template."""
+    list of ``[re, im]`` float pairs renders through one template, and a value
+    object that two keys of one dict share renders once."""
     return _encode(obj, "") + "\n"
 
 
@@ -79,8 +80,12 @@ def _encode(obj: object, pad: str) -> str:
             items = [inner + _encode(x, inner) for x in obj]
     elif isinstance(obj, dict):
         brackets = "{}"
+        text = {}  # by object id: the values are alive, so an id names one object
+        for value in obj.values():
+            if id(value) not in text:
+                text[id(value)] = _encode(value, inner)
         items = [
-            f"{inner}{encode_basestring_ascii(key)}: {_encode(value, inner)}"
+            f"{inner}{encode_basestring_ascii(key)}: {text[id(value)]}"
             for key, value in obj.items()
         ]
     else:

@@ -1,12 +1,16 @@
 """Small finite groups stored as explicit Cayley tables.
 
 Every group in this package is a table: element ``i`` times element ``j``
-is ``cayley[i, j]``.  Constructors validate the full set of group axioms
-(closure, identity, two-sided inverses, and associativity exactly, by
-Light's test, at every order) and precompute the conjugacy-class partition,
-so downstream modules can index into arrays without re-deriving structure.
-Groups are frozen with read-only arrays, so the constructors memoize them
-and callers share one instance per label.
+is ``cayley[i, j]``.  A table from outside (a JSON file, a presentation, any
+:func:`_build_group` caller) is validated against the full set of group
+axioms (closure, identity, two-sided inverses, and associativity exactly, by
+Light's test, at every order), and its conjugacy-class partition is computed
+from it.  A product of cyclic groups built from its factor sizes is correct
+by construction: its identity, inverses, classes and exponent are closed
+forms of the mixed-radix digits, pinned against the validated build by the
+tests, and its Cayley table is built only when it is first read.  Groups are
+frozen with read-only arrays, so the constructors memoize them and callers
+share one instance per label.
 """
 
 from __future__ import annotations
@@ -58,7 +62,11 @@ class Group:
     order : int
         Number of elements.
     cayley : np.ndarray
-        ``(order, order)`` int array; ``cayley[i, j]`` is the product ``g_i g_j``.
+        ``(order, order)`` read-only int64 array; ``cayley[i, j]`` is the
+        product ``g_i g_j``.  A validated table is stored as given; a group
+        built by :func:`make_abelian` builds its table from ``abelian_factors``
+        when ``cayley`` is first read and keeps it, so commands that never
+        multiply elements never pay for it.
     identity : int
         Index of the identity element.
     inverses : np.ndarray
@@ -79,7 +87,6 @@ class Group:
 
     name: str
     order: int
-    cayley: np.ndarray
     identity: int
     inverses: np.ndarray
     class_of: np.ndarray
@@ -87,6 +94,14 @@ class Group:
     class_sizes: tuple[int, ...]
     element_names: tuple[str, ...]
     abelian_factors: tuple[int, ...] | None = None
+    #: the Cayley table once built; ``None`` only before a product's first read
+    _cayley: np.ndarray | None = None
+
+    @property
+    def cayley(self) -> np.ndarray:
+        if self._cayley is None:  # threads that race here build equal read-only tables
+            object.__setattr__(self, "_cayley", _abelian_cayley(self.abelian_factors))
+        return self._cayley
 
     @property
     def n_classes(self) -> int:
@@ -200,7 +215,6 @@ def _build_group(
     name: str,
     cayley: np.ndarray,
     element_names: Sequence[str] | None = None,
-    abelian_factors: tuple[int, ...] | None = None,
 ) -> Group:
     cayley = np.asarray(cayley, dtype=np.int64)
     _check_cayley(cayley)
@@ -217,14 +231,13 @@ def _build_group(
     return Group(
         name=name,
         order=int(cayley.shape[0]),
-        cayley=_freeze(cayley),
         identity=int(identity),
         inverses=_freeze(inverses),
         class_of=_freeze(class_of),
         class_reps=reps,
         class_sizes=sizes,
         element_names=names,
-        abelian_factors=abelian_factors,
+        _cayley=_freeze(cayley),
     )
 
 
@@ -257,6 +270,31 @@ def _make_abelian(factors: tuple[int, ...]) -> Group:
     n = math.prod(factors)
     if n > MAX_ORDER:
         raise CapabilityError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
+    # the inverse negates each mixed-radix digit; from the last factor outward
+    # as in the table, a digit weighs the order k of the later factors
+    inverses = np.zeros(1, dtype=np.int64)
+    for m in reversed(factors):
+        k = len(inverses)
+        inverses = ((-np.arange(m) % m * k)[:, None] + inverses).ravel()
+    names = map(str, range(n))
+    if len(factors) > 1:
+        digits = itertools.product(*map(range, factors))  # row-major mixed radix
+        names = ("(" + ",".join(map(str, ds)) + ")" for ds in digits)
+    return Group(
+        name="x".join(f"Z{m}" for m in factors),
+        order=n,
+        identity=0,
+        inverses=_freeze(inverses),
+        class_of=_freeze(np.arange(n)),  # every class of an abelian group is one element
+        class_reps=tuple(range(n)),
+        class_sizes=(1,) * n,
+        element_names=tuple(names),
+        abelian_factors=factors,
+    )
+
+
+def _abelian_cayley(factors: tuple[int, ...]) -> np.ndarray:
+    """The read-only Cayley table of the product of cyclic groups of these orders."""
     # from the last factor outward: Z_m's table (i + j) % m, a sliding window
     # over arange(2m - 1) % m, times the order k of the later factors, plus theirs
     cayley = np.zeros((1, 1), dtype=np.int64)
@@ -264,12 +302,7 @@ def _make_abelian(factors: tuple[int, ...]) -> Group:
         k = len(cayley)
         window = sliding_window_view(np.arange(2 * m - 1) % m * k, m)
         cayley = (window[:, None, :, None] + cayley[None, :, None, :]).reshape(m * k, m * k)
-    names = None
-    if len(factors) > 1:
-        digits = itertools.product(*map(range, factors))  # row-major mixed radix
-        names = ["(" + ",".join(map(str, ds)) + ")" for ds in digits]
-    label = "x".join(f"Z{m}" for m in factors)
-    return _build_group(label, cayley, element_names=names, abelian_factors=factors)
+    return _freeze(cayley)
 
 
 #: Named nonabelian groups as ``(m, twist, words, names)``: the elements are

@@ -186,6 +186,37 @@ def test_json_label_for_another_group_is_rejected(z4_table, label, message):
         class_function_from_json(obj, table=z4_table)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "label, basis, data, message",
+    [
+        ("Z251xZ2", "coefficients", [[NAN, 0.0]] + [[0.5, 0.0]] * 501,
+         "class-function data[0] is not finite"),
+        ("Z251xZ2", "coefficients", [[1.0]] + [[0.0, 0.0]] * 501,
+         "class-function data must be a list of [re, im] pairs of numbers"),
+        ("Z251xZ2", "pointwise", 5, "class-function data must be a list of [re, im] pairs of numbers"),
+        ("Z251xZ2", "pointwise", [["a", "b"]] * 502,
+         "class-function data must be a list of [re, im] pairs of numbers"),
+        ("Z251xZ2", "sideways", [[1.0, 0.0]] * 502,
+         "unknown basis 'sideways'; expected 'coefficients' or 'pointwise'"),
+        ("Z251xZ0", "pointwise", [[NAN, 0.0]], "cyclic factor sizes must be positive, got (251, 0)"),
+        ("Z1024", "pointwise", [[NAN, 0.0]], "group order 1024 exceeds supported maximum 512"),
+    ],
+    ids=["nan", "ragged", "int", "str", "basis", "label", "order"],
+)
+def test_malformed_file_builds_no_character_table(label, basis, data, message):
+    """The label's error comes first, then the data's and the basis's, each with
+    its message as before; no character table is looked up for any of them."""
+    info = character_table.cache_info()
+    with pytest.raises(ValueError) as raised:
+        class_function_from_json({"group": label, "basis": basis, "data": data})
+    assert str(raised.value) == message
+    after = character_table.cache_info()
+    assert after.hits + after.misses == info.hits + info.misses
+
+
 def test_file_round_trip(tmp_path, v4_table):
     f = from_coefficients(v4_table, np.array([0.5, 0.5, 0.5, 0.5]))
     path = tmp_path / "f.json"

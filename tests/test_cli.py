@@ -36,6 +36,8 @@ from bentgroups import (
     run_search,
     save_class_function,
 )
+from bentgroups import cli
+from bentgroups.class_functions import _pairs
 from bentgroups.cli import _build_parser, _dumps, main
 
 
@@ -205,6 +207,32 @@ def test_check_fuzzed_payloads_keep_the_exit_contract(fuzz_path, payload):
         assert err.getvalue() == ""
         report = json.loads(out.getvalue(), parse_constant=reject_constant)
         assert (report["verdict"] == "BENT") == (code == 0)
+
+
+def test_check_prints_the_slack_that_decides_a_pointwise_verdict(capsys, tmp_path):
+    """On an S3 file 5e-10 off its class means, ``max_residual + slack`` against
+    ``order * tol`` gives the verdict: at a tol between the two sums the printed
+    residual alone would pass, and the verdict does not."""
+    table = character_table(group_from_label("S3"))
+    values = np.exp(2j * np.pi * np.arange(1, 4) / 7)[table.group.class_of]
+    values[[1, 5]] += 5e-10
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({"group": "S3", "basis": "pointwise", "data": _pairs(values)}))
+    _, out, _ = run_cli(capsys, "check", str(path))
+    report = json.loads(out)
+    assert list(report)[2:4] == ["max_residual", "slack"]
+    residual, slack = report["max_residual"], report["slack"]
+    assert 0 < slack < 6 * 1e-8
+    between = (residual + slack / 2) / 6  # max_residual <= 6 tol < max_residual + slack
+    for tol, verdict, exit_code in ((between, "NOT_BENT", 1), ((residual + 2 * slack) / 6, "BENT", 0)):
+        code, out, _ = run_cli(capsys, "--tol", repr(tol), "check", str(path))
+        report = json.loads(out)
+        assert code == exit_code and report["verdict"] == verdict
+        assert report["max_residual"] == residual and report["slack"] == slack
+        assert report["max_residual"] <= 6 * tol
+    save_class_function(from_coefficients(table, from_values(table, values).coefficients), str(path))
+    _, out, _ = run_cli(capsys, "check", str(path))
+    assert json.loads(out)["slack"] == 0.0
 
 
 def test_check_missing_file(capsys):
@@ -427,6 +455,37 @@ def test_cold_commands_leave_numpy_random_and_ma_unimported(tmp_path):
     assert result.stdout == "[0, 0, 0] []\n"
 
 
+#: Runs construct, check of its file as coefficients and as pointwise values,
+#: and chars in one fresh interpreter, printing the exit codes and the factor
+#: tuples whose Cayley table got built; then reads one table to show the hook.
+_TABLE_FREE_RUN = """
+import contextlib, io, json, sys
+from pathlib import Path
+from bentgroups import groups
+from bentgroups.cli import main
+built, build = [], groups._abelian_cayley
+groups._abelian_cayley = lambda factors: built.append(factors) or build(factors)
+coefficients, pointwise = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["construct", "zadoff-chu", "469", "3", "-o", coefficients])]
+    f = json.loads(Path(coefficients).read_text())
+    Path(pointwise).write_text(json.dumps({"group": f["group"], "basis": "pointwise", "data": f["values"]}))
+    codes += [main(["check", coefficients]), main(["check", pointwise]), main(["chars", "Z2xZ4xZ64"])]
+print(codes, built)
+groups.make_cyclic(469).cayley
+print(built)
+"""
+
+
+def test_cold_abelian_commands_never_build_a_cayley_table(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", _TABLE_FREE_RUN, str(tmp_path / "c.json"), str(tmp_path / "p.json")],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0, 0] []\n[(469,)]\n"
+
+
 #: (command, global flags); "{out}" is replaced by an output path and "{in}"
 #: by a bent class-function file.
 GLOBAL_FLAG_RUNS = {
@@ -555,13 +614,28 @@ WRITER_PAYLOADS = {
     },
     "empty-dict": dict,
     "empty-list": list,
+    "shared-values": lambda: shared_payload([[0.5, -0.0], [1e308, 5e-324]]),
 }
+
+
+def shared_payload(pairs: list) -> dict:
+    """One list under two keys of one dict and again one level deeper."""
+    return {"data": pairs, "coefficients": pairs, "nested": {"values": pairs}}
 
 
 @pytest.mark.parametrize("name", sorted(WRITER_PAYLOADS))
 def test_writer_is_byte_identical_to_json_dumps(name):
     obj = WRITER_PAYLOADS[name]()
     assert _dumps(obj) == json_text(obj)
+
+
+def test_writer_renders_a_value_that_keys_share_once(monkeypatch):
+    payload = construct_payload("zadoff-chu", 469, 3)
+    assert payload["data"] is payload["coefficients"]
+    encode, calls = cli._encode, []
+    monkeypatch.setattr(cli, "_encode", lambda obj, pad: calls.append(id(obj)) or encode(obj, pad))
+    assert _dumps(payload) == json_text(payload)
+    assert calls.count(id(payload["data"])) == 1
 
 
 @pytest.mark.parametrize(

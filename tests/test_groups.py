@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,6 +215,49 @@ def test_cayley_broadcast_matches_the_mixed_radix_table_up_to_order_64():
 def test_cayley_broadcast_matches_the_mixed_radix_table_at_order_512(factors):
     assert_matches_mixed_radix(factors)
     assert_matches_loops(make_abelian(factors))
+
+
+def assert_closed_form_matches_the_validated_build(factors: tuple[int, ...]) -> None:
+    """Every field the product fills without a table against ``_build_group``'s
+    checks and partition of that product's table, in value and dtype."""
+    g = make_abelian(factors)
+    digits = zip(*np.unravel_index(np.arange(g.order), factors))
+    names = None if len(factors) == 1 else ["(" + ",".join(map(str, ds)) + ")" for ds in digits]
+    want = groups._build_group(g.name, g.cayley, element_names=names)
+    assert g.order == want.order and g.identity == want.identity, factors
+    for got, ref in ((g.inverses, want.inverses), (g.class_of, want.class_of)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), factors
+        assert not got.flags.writeable
+    assert g.class_reps == want.class_reps and g.class_sizes == want.class_sizes, factors
+    assert g.element_names == want.element_names, factors
+    assert want.abelian_factors is None  # so its exponent is the power iteration's
+    assert g.exponent == want.exponent, factors
+
+
+def test_closed_form_products_match_the_validated_build_up_to_order_64():
+    for factors in FACTORIZATIONS:
+        assert_closed_form_matches_the_validated_build(factors)
+
+
+@pytest.mark.parametrize("factors", LARGE_FACTORIZATIONS, ids=LARGE_IDS)
+def test_closed_form_products_match_the_validated_build_at_order_512(factors):
+    assert_closed_form_matches_the_validated_build(factors)
+
+
+def test_a_product_builds_its_table_on_first_read_and_keeps_it():
+    build = groups._make_abelian.__wrapped__  # a fresh group, outside the memo
+    g = build((2, 6))
+    assert g._cayley is None
+    table = g.cayley
+    assert g.cayley is table and not table.flags.writeable
+    assert table.tobytes() == make_abelian((2, 6)).cayley.tobytes()
+    # a copy made before the first read builds its own table, read-only too
+    v4 = replace(build((2, 2)), name="V4")
+    assert v4._cayley is None
+    assert v4.cayley.tobytes() == make_named("V4").cayley.tobytes()
+    assert not v4.cayley.flags.writeable
+    with pytest.raises(ValueError):
+        v4.cayley[0, 0] = 1
 
 
 def test_one_factor_product_survives_json_round_trip():
