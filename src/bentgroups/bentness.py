@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CharacterTable, project
+from .characters import CharacterTable, expand, project
 from .class_functions import ClassFunction, _pairs, is_unimodular
 
 __all__ = [
@@ -36,7 +36,7 @@ BENT = "BENT"
 NOT_BENT = "NOT_BENT"
 NOT_UNIMODULAR = "NOT_UNIMODULAR"
 
-#: Checks on a function that went through the n x n character matrix and back
+#: Checks on a function that went through the character transform and back
 #: run at no tolerance below n^2 times this.  The round trip moves a value by
 #: up to about n^2 ulps (2.6e-14 on a Z12 Zadoff-Chu witness), so below this
 #: floor last-bit rounding, not bentness, decides a verdict.
@@ -71,8 +71,10 @@ class BentReport:
 
     ``residuals[t]`` is the derivative sum along the t-th non-identity
     direction, in ascending element index (exactly ``order - 1`` entries),
-    from the closed form ``D(sigma) = n * sum_i |a_i|^2 chi_i(sigma) / d_i``.
-    That form is exact for ``p = phi @ a``.  Pointwise values ``v`` lie within
+    from the closed form ``D(sigma) = n * sum_i |a_i|^2 chi_i(sigma) / d_i``,
+    one :func:`characters.expand` of ``|a|^2 / d``.  That form is exact for
+    the values ``p = phi @ a`` of the coefficients (which ``expand`` computes
+    as an FFT on large abelian groups).  Pointwise values ``v`` lie within
     ``s = sync_residual`` of p, which moves each sum by at most
     ``slack = n * s * (2 * max|v| + 3 * s)`` (0.0 on coefficient input).  The
     verdict is BENT when the function is unimodular within ``tol`` and
@@ -129,7 +131,7 @@ def is_bent(f: ClassFunction, tol: float = 1e-8) -> BentReport:
     group, table = f.group, f.table
     n = group.order
     _, deviation = is_unimodular(f, tol)
-    sums = n * (table.phi @ (np.abs(f.coefficients) ** 2 / np.asarray(table.degrees)))
+    sums = n * expand(table, np.abs(f.coefficients) ** 2 / np.asarray(table.degrees))
     residuals = sums[np.arange(n) != group.identity]
     max_residual = float(np.max(np.abs(residuals))) if n > 1 else 0.0
     residuals.setflags(write=False)

@@ -2,8 +2,10 @@
 
 A class function is stored with both representations kept in sync: the
 coefficient vector ``a`` with ``f = sum_i a_i chi_i`` and the pointwise value
-vector ``f(x)`` over all elements.  Coefficients become values as
-``phi @ a``; values become coefficients through :func:`characters.project`.
+vector ``f(x)`` over all elements.  Coefficients become values through
+:func:`characters.expand`, ``phi @ a``, and values become coefficients through
+:func:`characters.project`; from ``characters._FFT_ORDER`` on, both are FFTs on
+a group built from cyclic factors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import CharacterTable, character_table, project
+from .characters import CharacterTable, character_table, expand, project
 from .groups import Group, _freeze, group_from_label
 
 __all__ = [
@@ -70,7 +72,7 @@ def from_coefficients(table: CharacterTable, coefficients: Sequence[complex]) ->
             f"expected {table.n_irreps} coefficients for {table.group.name}, "
             f"got shape {a.shape}"
         )
-    values = table.phi @ a
+    values = expand(table, a)
     return ClassFunction(
         table=table,
         coefficients=_freeze(a.copy()),
@@ -95,7 +97,7 @@ def to_coefficients(table: CharacterTable, values: Sequence[complex]) -> np.ndar
         )
     a = project(table, v)
     if not group.is_abelian:  # otherwise every class is a singleton
-        dev = np.abs(table.phi @ a - v)
+        dev = np.abs(expand(table, a) - v)
         bound = SYNC_TOL * max(1.0, float(np.max(np.abs(v))))
         if np.any(dev > bound):
             c = int(np.min(group.class_of[dev > bound]))
@@ -110,7 +112,7 @@ def from_values(table: CharacterTable, values: Sequence[complex]) -> ClassFuncti
     """Build a class function from pointwise values (one per element)."""
     v = np.asarray(values, dtype=complex)
     a = to_coefficients(table, v)
-    residual = float(np.max(np.abs(table.phi @ a - v)))
+    residual = float(np.max(np.abs(expand(table, a) - v)))
     return ClassFunction(
         table=table,
         coefficients=_freeze(a),
@@ -175,9 +177,10 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
     supplied: one whose group is named by the label or by what the label
     resolves to, so ``"z4"`` matches ``Z4``.  Only the primary representation
     named by ``basis`` is trusted; the other is recomputed.  Data must be
-    finite ``[re, im]`` pairs whose function has a finite energy sum
-    ``|f(x)|^2``, which bounds every derivative sum; anything else raises
-    ValueError.
+    finite ``[re, im]`` pairs, one per class or one per element as ``basis``
+    says, whose function has a finite energy sum ``|f(x)|^2``, which bounds
+    every derivative sum; anything else raises ValueError, before the
+    character table is looked up unless only the energy sum fails.
     """
     try:
         label = str(obj["group"])
@@ -191,9 +194,16 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
         raise ValueError(
             f"class-function JSON is for group {label!r}, not {table.group.name!r}"
         )
+    else:
+        group = table.group
     payload = _from_pairs(data)
     if basis not in ("coefficients", "pointwise"):
         raise ValueError(f"unknown basis {basis!r}; expected 'coefficients' or 'pointwise'")
+    # the messages of from_coefficients and to_coefficients
+    size, noun = ((group.n_classes, "coefficients") if basis == "coefficients"
+                  else (group.order, "values"))
+    if payload.shape != (size,):
+        raise ValueError(f"expected {size} {noun} for {group.name}, got shape {payload.shape}")
     if table is None:  # built last, so that a malformed file costs no table
         table = character_table(group)
     build = from_coefficients if basis == "coefficients" else from_values

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import CharacterTable, project
+from .characters import CharacterTable, expand, project
 
 __all__ = [
     "CriterionOutcome",
@@ -125,7 +125,7 @@ def solve_magnitude_system(
         raise ValueError(f"expected a length-{n} right-hand side, got shape {y.shape}")
     d = np.asarray(table.degrees, dtype=float)
     m = d * project(table, y)
-    residual = float(np.max(np.abs(table.phi @ (m / d) - y)))
+    residual = float(np.max(np.abs(expand(table, m / d) - y)))
     return m, residual
 
 

@@ -27,11 +27,13 @@ from bentgroups import (
     make_cyclic,
     make_named,
     oracle_verdicts,
+    quadratic_chirp,
     report_to_json,
     spectrum,
     zadoff_chu,
 )
 from bentgroups.bentness import _row_max
+from bentgroups.characters import _FFT_ORDER
 
 from conftest import (
     BLOCK_LABELS,
@@ -405,6 +407,52 @@ def test_closed_form_matches_the_oracle_on_large_zadoff_chu(n):
     for f in zadoff_chu_functions(n, [1, 3, n - 1]):
         assert_closed_form_matches_oracle(f)
         assert is_bent(f).verdict == BENT
+
+
+@pytest.mark.parametrize("n", [469, 509])
+def test_closed_form_matches_the_oracle_on_large_chirps(n):
+    table = character_table(make_cyclic(n))
+    f = from_coefficients(table, quadratic_chirp(n) / math.sqrt(n))
+    for g in (f, from_values(table, f.values)):
+        assert_closed_form_matches_oracle(g)
+        assert is_bent(g).verdict == BENT
+
+
+def assert_closed_form_matches_oracle_on_random_input(table, seed: int) -> None:
+    """Unit phases as values and as coefficients, unit phases 5e-10 off the
+    circle, and complex Gaussian values."""
+    rng = np.random.default_rng(seed)
+    n, r = table.group.order, table.n_irreps
+    for _ in range(3):
+        assert_closed_form_matches_oracle(from_values(table, unit_phases(rng, n)))
+        assert_closed_form_matches_oracle(from_coefficients(table, unit_phases(rng, r)))
+        noise = 5e-10 * rng.random(n) * unit_phases(rng, n)
+        assert_closed_form_matches_oracle(from_values(table, unit_phases(rng, n) + noise))
+        gaussian = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert_closed_form_matches_oracle(from_values(table, gaussian))
+
+
+@pytest.mark.parametrize("order", [_FFT_ORDER - 1, _FFT_ORDER])
+def test_closed_form_matches_the_oracle_on_both_sides_of_the_fft_cutoff(order):
+    """Zadoff-Chu and, at odd orders, chirp witnesses, 5e-10 off the circle too,
+    and random input, through ``phi @ a`` below the cutoff and FFTs from it on."""
+    table = character_table(make_cyclic(order))
+    rng = np.random.default_rng(order)
+    witnesses = zadoff_chu_functions(order, [1, 5, order - 1])
+    if order % 2:
+        witnesses.append(from_coefficients(table, quadratic_chirp(order) / math.sqrt(order)))
+    for f in witnesses:
+        assert_closed_form_matches_oracle(f)
+        assert is_bent(f).verdict == BENT
+        noise = 5e-10 * rng.random(order) * unit_phases(rng, order)
+        assert_closed_form_matches_oracle(from_values(table, f.values + noise))
+    assert_closed_form_matches_oracle_on_random_input(table, order)
+
+
+@pytest.mark.parametrize("label", ["Z469", "Z509", "Z512", "Z2xZ4xZ64", "Z5xZ97"])
+def test_closed_form_matches_the_oracle_on_random_input_above_the_fft_cutoff(label):
+    table = character_table(group_from_label(label))
+    assert_closed_form_matches_oracle_on_random_input(table, table.group.order)
 
 
 @pytest.mark.parametrize("label", ["Z2", "Z7", "Z12", "Z64", "Z125", "V4", "Z2xZ4xZ8"])

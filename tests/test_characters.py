@@ -162,7 +162,7 @@ def test_orthogonality(label):
 def test_orthogonality_detects_corruption(z4_table):
     phi = z4_table.phi.copy()
     phi[1, 1] *= 1.001
-    corrupted = replace(z4_table, phi=phi)
+    corrupted = replace(z4_table, _phi=phi)
     report = verify_orthogonality(corrupted, tol=1e-10)
     assert not report.passed
     assert report.max_row_deviation > 1e-4
@@ -528,12 +528,62 @@ def test_table_json_text_is_the_json_encoder_dump(label):
 def test_table_json_rejects_a_non_finite_value_as_the_json_encoder_does(s3_table):
     values = s3_table.class_values.copy()
     values[2, 1] = complex(0.0, math.nan)
-    table = replace(s3_table, class_values=values)
+    table = replace(s3_table, _class_values=values)
     with pytest.raises(ValueError) as expected:
         json.dumps(table_dict(table), indent=2, allow_nan=False)
     with pytest.raises(ValueError) as raised:
         table_to_json(table)
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("entry", [(2, 1), (5, 3), (7, 0)], ids=["off-row", "in-row", "first"])
+def test_abelian_table_json_rejects_a_non_finite_value_as_the_json_encoder_does(entry):
+    """The writer checks the table's own values, not the row it gathers from:
+    row 5 of Z2xZ4 is the character with exponents (1, 1)."""
+    table = character_table(group_from_label("Z2xZ4"))
+    values = table.class_values.copy()
+    values[entry] = complex(math.nan, 0.0)
+    table = replace(table, _class_values=values)
+    with pytest.raises(ValueError) as expected:
+        json.dumps(table_dict(table), indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as raised:
+        table_to_json(table)
+    assert str(raised.value) == str(expected.value)
+
+
+def lexsort_distinct(class_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The former dedup of ``table_to_json``: one lexsort over all n^2 bit patterns."""
+    bits = np.ascontiguousarray(class_values).view(np.uint64).reshape(-1, 2)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    ranked = bits[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:, 0] != ranked[:-1, 0]) | (ranked[1:, 1] != ranked[:-1, 1])
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first].view(complex)[:, 0], inverse.reshape(class_values.shape)
+
+
+def assert_dedup_matches_the_full_lexsort(table) -> None:
+    """``_distinct_values`` gives the table bit for bit, and the distinct list and
+    the index of the n^2 lexsort."""
+    distinct, index = characters._distinct_values(table)
+    assert distinct[index].tobytes() == table.class_values.tobytes(), table.group.name
+    want_distinct, want_index = lexsort_distinct(table.class_values)
+    assert distinct.tobytes() == want_distinct.tobytes(), table.group.name
+    assert np.array_equal(index, want_index), table.group.name
+
+
+def test_json_dedup_matches_the_full_lexsort_up_to_order_64():
+    for factors in FACTORIZATIONS:
+        assert_dedup_matches_the_full_lexsort(character_table(make_abelian(factors)))
+    for label in ("V4", "S3", "Q8", "D4"):
+        assert_dedup_matches_the_full_lexsort(character_table(group_from_label(label)))
+
+
+@pytest.mark.parametrize("factors", LARGE_FACTORIZATIONS + [(239,), (5, 97), (12,), (2, 4, 16)],
+                         ids=LARGE_IDS + ["Z239", "Z5xZ97", "Z12", "Z2xZ4xZ16"])
+def test_json_dedup_matches_the_full_lexsort_at_large_orders(factors):
+    assert_dedup_matches_the_full_lexsort(character_table(make_abelian(factors)))
 
 
 def test_table_csv_rendering(z3_table, s3_table):
@@ -609,7 +659,7 @@ def test_corrupted_roots_fail_the_analytic_orthogonality_check(monkeypatch, corr
     exact = characters._roots_of_unity
     monkeypatch.setattr(characters, "_roots_of_unity", lambda m: corrupt(exact(m)))
     with pytest.raises(ValueError, match="failed orthogonality validation"):
-        character_table.__wrapped__(make_cyclic(8))
+        character_table.__wrapped__(make_cyclic(8)).class_values  # checked on first read
 
 
 def test_a_nan_root_fails_the_analytic_orthogonality_check(monkeypatch):
@@ -622,7 +672,7 @@ def test_a_nan_root_fails_the_analytic_orthogonality_check(monkeypatch):
 
     monkeypatch.setattr(characters, "_roots_of_unity", nan_root)
     with pytest.raises(ValueError, match=r"failed orthogonality validation \(nan\)"):
-        character_table.__wrapped__(make_cyclic(8))
+        character_table.__wrapped__(make_cyclic(8)).phi  # checked on first read
 
 
 def nan_rows(group, column: int) -> np.ndarray:

@@ -28,7 +28,8 @@ from bentgroups import (
     save_class_function,
     to_coefficients,
 )
-from bentgroups.characters import project
+from bentgroups import characters
+from bentgroups.characters import _FFT_ORDER, expand, project
 from bentgroups.class_functions import _pairs
 
 from conftest import BLOCK_LABELS, class_constant_samples, relabelled
@@ -203,12 +204,16 @@ NAN = float("nan")
          "unknown basis 'sideways'; expected 'coefficients' or 'pointwise'"),
         ("Z251xZ0", "pointwise", [[NAN, 0.0]], "cyclic factor sizes must be positive, got (251, 0)"),
         ("Z1024", "pointwise", [[NAN, 0.0]], "group order 1024 exceeds supported maximum 512"),
+        ("Z509", "coefficients", [[0.5, 0.0]] * 3,
+         "expected 509 coefficients for Z509, got shape (3,)"),
+        ("S3", "pointwise", [[0.5, 0.0]] * 2, "expected 6 values for S3, got shape (2,)"),
     ],
-    ids=["nan", "ragged", "int", "str", "basis", "label", "order"],
+    ids=["nan", "ragged", "int", "str", "basis", "label", "order", "length", "s3-length"],
 )
 def test_malformed_file_builds_no_character_table(label, basis, data, message):
-    """The label's error comes first, then the data's and the basis's, each with
-    its message as before; no character table is looked up for any of them."""
+    """The label's error comes first, then the data's, the basis's and the
+    length's, each with its message as before; no character table is looked up
+    for any of them."""
     info = character_table.cache_info()
     with pytest.raises(ValueError) as raised:
         class_function_from_json({"group": label, "basis": basis, "data": data})
@@ -266,12 +271,54 @@ def test_project_matches_the_adjoint_product():
                                        err_msg=group.name)
 
 
+#: The labels of ``BLOCK_LABELS`` whose transforms are FFTs, with the cutoff
+#: order itself, Z2^9, where ``fftn`` is slowest, and a product of two primes.
+FFT_LABELS = [label for label in BLOCK_LABELS if label.startswith("Z")
+              and group_from_label(label).order >= _FFT_ORDER] + [
+    f"Z{_FFT_ORDER}", "x".join(["Z2"] * 9), "Z5xZ97",
+]
+
+
+@pytest.mark.parametrize("label", FFT_LABELS)
+def test_fft_transforms_match_the_character_matrix_products(label):
+    """Above the cutoff ``project`` and ``expand`` agree with ``conj(phi.T) @ v / n``
+    and ``phi @ a`` to within ``n eps max|.|``, and build no n x n array."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(19)
+    group = group_from_label(label)
+    table = characters.character_table.__wrapped__(group)  # its values not built yet
+    n = group.order
+    samples = class_constant_samples(rng, group)
+    transformed = [(project(table, v), expand(table, v)) for v in samples]
+    assert table._phi is None and table._class_values is None
+    for v, (a, values) in zip(samples, transformed):
+        atol = n * eps * max(1.0, float(np.max(np.abs(v))))
+        np.testing.assert_allclose(a, np.conj(table.phi.T) @ v / n, rtol=0, atol=atol)
+        np.testing.assert_allclose(values, table.phi @ v, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("order", [_FFT_ORDER - 1, 2, 64])
+def test_transforms_below_the_cutoff_are_the_matrix_products_bit_for_bit(order):
+    """Below the cutoff ``expand`` is ``phi @ a`` and ``project`` the class sums'
+    product with the class values, as they were before the FFT route."""
+    rng = np.random.default_rng(order)
+    table = character_table(make_cyclic(order))
+    classes = table.group.class_of
+    for v in class_constant_samples(rng, table.group):
+        assert expand(table, v).tobytes() == (table.phi @ v).tobytes()
+        conj_sums = (np.bincount(classes, weights=v.real, minlength=order)
+                     - 1j * np.bincount(classes, weights=v.imag, minlength=order))
+        adjoint = np.conj(table.class_values @ conj_sums) / order
+        assert project(table, v).tobytes() == adjoint.tobytes()
+
+
 #: Prints a digest of ``project``'s bits on every group of ``BLOCK_LABELS``.
 _PROJECTION_DIGEST = """
 import hashlib
 import numpy as np
 from bentgroups import character_table, group_from_label
-from bentgroups.characters import project
+from bentgroups import characters
+from bentgroups.characters import _FFT_ORDER, expand, project
 from conftest import BLOCK_LABELS, class_constant_samples
 rng = np.random.default_rng(16)
 for label in BLOCK_LABELS:

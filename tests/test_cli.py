@@ -486,6 +486,46 @@ def test_cold_abelian_commands_never_build_a_cayley_table(tmp_path):
     assert result.stdout == "[0, 0, 0, 0] []\n[(469,)]\n"
 
 
+#: Runs construct, the checks of its file as coefficients and as pointwise
+#: values, and the check of a bent coefficient file on Z2xZ4xZ64, a product of
+#: Zadoff-Chu functions on its factors, in one fresh interpreter; prints the
+#: exit codes and the factor tuples whose character values got built, then
+#: reads one table's values to show the hook.
+_VALUE_FREE_RUN = """
+import contextlib, io, json, math, sys
+from pathlib import Path
+import numpy as np
+from bentgroups import characters, make_cyclic, zadoff_chu
+from bentgroups.cli import main
+built, build = [], characters._abelian_phi
+characters._abelian_phi = lambda factors: built.append(factors) or build(factors)
+coefficients, pointwise, product = sys.argv[1:]
+a = np.ones(1)
+for m in (2, 4, 64):
+    a = np.kron(a, zadoff_chu(m, 1) / math.sqrt(m))
+data = a.view(float).reshape(-1, 2).tolist()
+Path(product).write_text(json.dumps({"group": "Z2xZ4xZ64", "basis": "coefficients", "data": data}))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["construct", "zadoff-chu", "469", "3", "-o", coefficients])]
+    f = json.loads(Path(coefficients).read_text())
+    Path(pointwise).write_text(json.dumps({"group": f["group"], "basis": "pointwise", "data": f["values"]}))
+    codes += [main(["check", path]) for path in (coefficients, pointwise, product)]
+print(codes, built)
+characters.character_table(make_cyclic(469)).phi
+print(built)
+"""
+
+
+def test_cold_fft_sized_commands_never_build_character_values(tmp_path):
+    paths = [str(tmp_path / name) for name in ("c.json", "p.json", "z2xz4xz64.json")]
+    result = subprocess.run(
+        [sys.executable, "-c", _VALUE_FREE_RUN, *paths],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0, 0] []\n[(469,)]\n"
+
+
 #: (command, global flags); "{out}" is replaced by an output path and "{in}"
 #: by a bent class-function file.
 GLOBAL_FLAG_RUNS = {
