@@ -19,7 +19,9 @@ must be integers, and the rows must be orthogonal: the class-sum route checks
 the Gram matrix, the analytic route a bound on it computed per cyclic factor.
 An analytic table builds and checks its values when they are first read: from
 order ``_FFT_ORDER`` on, its transforms :func:`project` and :func:`expand` are
-FFTs over the factors and never read them.
+FFTs over the factors and never read them.  Its entry (i, c) is the entry
+``sum_f stride_f * ((i_f * c_f) mod m_f)`` of the character with every
+exponent 1, so :func:`table_to_json` renders n values for the n^2 entries.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapabilityError, NumericDegeneracyError
-from .groups import Group, element_order, make_named
+from .groups import Group, _kronecker_sum, element_order, make_named
 
 __all__ = [
     "CharacterTable",
@@ -496,43 +498,20 @@ def _exponent_index(factors: Sequence[int]) -> np.ndarray:
     """``index[i, c] = sum_f stride_f * ((i_f * c_f) mod m_f)`` over the row-major
     mixed-radix digits of the factor sizes: the exponent tuple of the root that
     character ``i`` takes at element ``c``."""
-    # from the last factor outward, as the Kronecker product: factor m's
-    # exponent grid times the order k of the later factors, plus theirs
-    index = np.zeros((1, 1), dtype=np.intp)
-    for m in reversed(factors):
-        k = len(index)
-        digits = np.arange(m)
-        grid = np.multiply.outer(digits, digits) % m * k
-        index = (grid[:, None, :, None] + index[None, :, None, :]).reshape(m * k, m * k)
-    return index
+    return _kronecker_sum(
+        factors, lambda m, k: np.multiply.outer(np.arange(m), np.arange(m)) % m * k)
 
 
-def _distinct_values(table: CharacterTable) -> tuple[np.ndarray, np.ndarray]:
-    """The table's distinct values, sorted by bit pattern (re, then im), and an
-    index into them with ``class_values == distinct[index]``.
-
-    Values are told apart by bit pattern, since -0.0 and 0.0 print
-    differently.  An analytic entry (i, c) is ``prod_f roots_f[(i_f * c_f)
-    mod m_f]``, so the sort runs over the n entries of the character with
-    every exponent 1, whose entry c is ``prod_f roots_f[c_f]``, and
-    :func:`_exponent_index` places every entry among them; a class-sum
-    table sorts its r^2 entries.
-    """
+def _value_index(table: CharacterTable) -> tuple[np.ndarray, np.ndarray]:
+    """Values and an index into them with ``class_values == values[index]`` bit
+    for bit: on an analytic table the n values of the character with every
+    exponent 1, ``prod_f roots_f[c_f]``, else the r^2 class values."""
     class_values = table.class_values
     factors = table.group.abelian_factors
     if factors is None:
-        values, index = class_values.ravel(), np.arange(class_values.size).reshape(class_values.shape)
-    else:
-        values = class_values[np.ravel_multi_index([1 % m for m in factors], factors)]
-        index = _exponent_index(factors)
-    bits = np.ascontiguousarray(values).view(np.uint64).reshape(-1, 2)
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    ranked = bits[order]
-    first = np.ones(len(ranked), dtype=bool)
-    first[1:] = (ranked[1:, 0] != ranked[:-1, 0]) | (ranked[1:, 1] != ranked[:-1, 1])
-    inverse = np.empty(len(ranked), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ranked[first].view(complex)[:, 0], inverse[index]
+        return class_values.ravel(), np.arange(class_values.size).reshape(class_values.shape)
+    ones = np.ravel_multi_index([1 % m for m in factors], factors)
+    return class_values[ones], _exponent_index(factors)
 
 
 def table_to_json(table: CharacterTable) -> str:
@@ -540,8 +519,8 @@ def table_to_json(table: CharacterTable) -> str:
 
     The dict holds group, order, root_order, class_labels, class_sizes and
     one ``{"name", "degree", "values"}`` entry per character, each value a
-    ``[re, im]`` pair.  Only the header goes through :mod:`json`: each
-    distinct value of :func:`_distinct_values` is rendered once, with the
+    ``[re, im]`` pair.  Only the header goes through :mod:`json`: each value
+    that :func:`_value_index` lists is rendered once, with the
     ``float.__repr__`` that :mod:`json` uses, and gathered into the rows.
 
     Raises ValueError on a non-finite value, as ``allow_nan=False`` does.
@@ -552,9 +531,10 @@ def table_to_json(table: CharacterTable) -> str:
     if not finite.all():
         bad = float(flat[np.argmin(finite)])
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    distinct, index = _distinct_values(table)
+    values, index = _value_index(table)
     pair = _JSON_PAIR.format(" " * 8)  # "values" pairs sit at 8 spaces
-    rendered = [pair % re_im for re_im in map(tuple, distinct.view(float).reshape(-1, 2).tolist())]
+    pairs = np.ascontiguousarray(values).view(float).reshape(-1, 2).tolist()
+    rendered = [pair % re_im for re_im in map(tuple, pairs)]
     # one row per character: its opening lines, its pairs, each but the last
     # followed by ",\n", and its closing lines
     pieces = np.empty((index.shape[0], index.shape[1] + 2), dtype=object)

@@ -64,14 +64,19 @@ class ClassFunction:
         )
 
 
+def _check_length(group: Group, data: np.ndarray, basis: str) -> None:
+    """Raise ValueError unless ``data`` holds one entry per class (basis
+    "coefficients") or one per element (basis "pointwise")."""
+    size, noun = ((group.n_classes, "coefficients") if basis == "coefficients"
+                  else (group.order, "values"))
+    if data.shape != (size,):
+        raise ValueError(f"expected {size} {noun} for {group.name}, got shape {data.shape}")
+
+
 def from_coefficients(table: CharacterTable, coefficients: Sequence[complex]) -> ClassFunction:
     """Build a class function from its character coefficients."""
     a = np.asarray(coefficients, dtype=complex)
-    if a.shape != (table.n_irreps,):
-        raise ValueError(
-            f"expected {table.n_irreps} coefficients for {table.group.name}, "
-            f"got shape {a.shape}"
-        )
+    _check_length(table.group, a, "coefficients")
     values = expand(table, a)
     return ClassFunction(
         table=table,
@@ -83,7 +88,13 @@ def from_coefficients(table: CharacterTable, coefficients: Sequence[complex]) ->
 
 
 def to_coefficients(table: CharacterTable, values: Sequence[complex]) -> np.ndarray:
-    """Project pointwise values onto the character basis.
+    """Project pointwise values onto the character basis: the coefficients of
+    :func:`from_values`, whose checks they pass."""
+    return from_values(table, values).coefficients.copy()
+
+
+def from_values(table: CharacterTable, values: Sequence[complex]) -> ClassFunction:
+    """Build a class function from pointwise values (one per element).
 
     The input must be constant on conjugacy classes: no value may lie more
     than ``SYNC_TOL * max(1, max|v|)`` from its class mean, which is
@@ -91,34 +102,22 @@ def to_coefficients(table: CharacterTable, values: Sequence[complex]) -> np.ndar
     """
     group = table.group
     v = np.asarray(values, dtype=complex)
-    if v.shape != (group.order,):
-        raise ValueError(
-            f"expected {group.order} values for {group.name}, got shape {v.shape}"
-        )
+    _check_length(group, v, "pointwise")
     a = project(table, v)
-    if not group.is_abelian:  # otherwise every class is a singleton
-        dev = np.abs(expand(table, a) - v)
-        bound = SYNC_TOL * max(1.0, float(np.max(np.abs(v))))
-        if np.any(dev > bound):
-            c = int(np.min(group.class_of[dev > bound]))
-            raise ValueError(
-                f"values are not constant on conjugacy class {c} (max deviation "
-                f"{np.max(dev[group.class_of == c]):.3e} exceeds {bound:.3e})"
-            )
-    return a
-
-
-def from_values(table: CharacterTable, values: Sequence[complex]) -> ClassFunction:
-    """Build a class function from pointwise values (one per element)."""
-    v = np.asarray(values, dtype=complex)
-    a = to_coefficients(table, v)
-    residual = float(np.max(np.abs(expand(table, a) - v)))
+    dev = np.abs(expand(table, a) - v)
+    bound = SYNC_TOL * max(1.0, float(np.max(np.abs(v))))
+    if not group.is_abelian and np.any(dev > bound):  # else every class is a singleton
+        c = int(np.min(group.class_of[dev > bound]))
+        raise ValueError(
+            f"values are not constant on conjugacy class {c} (max deviation "
+            f"{np.max(dev[group.class_of == c]):.3e} exceeds {bound:.3e})"
+        )
     return ClassFunction(
         table=table,
         coefficients=_freeze(a),
         values=_freeze(v.copy()),
         basis="pointwise",
-        sync_residual=residual,
+        sync_residual=float(np.max(dev)),
     )
 
 
@@ -199,11 +198,7 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
     payload = _from_pairs(data)
     if basis not in ("coefficients", "pointwise"):
         raise ValueError(f"unknown basis {basis!r}; expected 'coefficients' or 'pointwise'")
-    # the messages of from_coefficients and to_coefficients
-    size, noun = ((group.n_classes, "coefficients") if basis == "coefficients"
-                  else (group.order, "values"))
-    if payload.shape != (size,):
-        raise ValueError(f"expected {size} {noun} for {group.name}, got shape {payload.shape}")
+    _check_length(group, payload, basis)
     if table is None:  # built last, so that a malformed file costs no table
         table = character_table(group)
     build = from_coefficients if basis == "coefficients" else from_values
@@ -221,6 +216,7 @@ def load_class_function(path: str) -> ClassFunction:
 
 
 def save_class_function(f: ClassFunction, path: str) -> None:
+    """Write ``f`` as JSON; a non-finite number raises ValueError and writes no file."""
+    text = json.dumps(class_function_to_json(f), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(class_function_to_json(f), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

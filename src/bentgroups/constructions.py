@@ -148,7 +148,7 @@ def _make_bent_cyclic(spec: SequenceSpec, tol: float) -> CertifiedFunction:
 
 def global_phase(f: ClassFunction, c: complex) -> ClassFunction:
     """Multiply every value by a fixed unit-modulus constant."""
-    if abs(abs(c) - 1.0) > 1e-9:
+    if not abs(abs(c) - 1.0) <= 1e-9:  # a NaN modulus fails too
         raise ValueError(f"phase factor must be unimodular, got |c| = {abs(c):.6g}")
     return from_coefficients(f.table, f.coefficients * c)
 

@@ -20,7 +20,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -270,12 +270,9 @@ def _make_abelian(factors: tuple[int, ...]) -> Group:
     n = math.prod(factors)
     if n > MAX_ORDER:
         raise CapabilityError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
-    # the inverse negates each mixed-radix digit; from the last factor outward
-    # as in the table, a digit weighs the order k of the later factors
-    inverses = np.zeros(1, dtype=np.int64)
-    for m in reversed(factors):
-        k = len(inverses)
-        inverses = ((-np.arange(m) % m * k)[:, None] + inverses).ravel()
+    # the inverse negates each mixed-radix digit, mod its factor ("wrap")
+    negated = [-d for d in np.unravel_index(np.arange(n), factors)]
+    inverses = np.ravel_multi_index(negated, factors, mode="wrap")
     names = map(str, range(n))
     if len(factors) > 1:
         digits = itertools.product(*map(range, factors))  # row-major mixed radix
@@ -293,16 +290,23 @@ def _make_abelian(factors: tuple[int, ...]) -> Group:
     )
 
 
+def _kronecker_sum(factors: Sequence[int], grid: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """``table[x, y] = sum_f stride_f * g_f[x_f, y_f]`` over the row-major mixed-radix
+    digits of the factor sizes, where ``grid(m, k)`` is ``k * g_f`` for factor order m
+    and stride k: a Kronecker sum."""
+    table = np.zeros((1, 1), dtype=np.int64)
+    for m in reversed(factors):  # last first, so the broadcast's inner loop is long
+        k = len(table)
+        table = (grid(m, k)[:, None, :, None] + table[None, :, None, :]).reshape(m * k, m * k)
+    return table
+
+
 def _abelian_cayley(factors: tuple[int, ...]) -> np.ndarray:
     """The read-only Cayley table of the product of cyclic groups of these orders."""
-    # from the last factor outward: Z_m's table (i + j) % m, a sliding window
-    # over arange(2m - 1) % m, times the order k of the later factors, plus theirs
-    cayley = np.zeros((1, 1), dtype=np.int64)
-    for m in reversed(factors):
-        k = len(cayley)
-        window = sliding_window_view(np.arange(2 * m - 1) % m * k, m)
-        cayley = (window[:, None, :, None] + cayley[None, :, None, :]).reshape(m * k, m * k)
-    return _freeze(cayley)
+    # Z_m's table (i + j) % m is a sliding window over arange(2m - 1) % m; the
+    # stride scales those 2m - 1 entries before the window, not the m^2 after
+    return _freeze(_kronecker_sum(
+        factors, lambda m, k: sliding_window_view(np.arange(2 * m - 1) % m * k, m)))
 
 
 #: Named nonabelian groups as ``(m, twist, words, names)``: the elements are

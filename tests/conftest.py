@@ -79,6 +79,9 @@ def ordered_factorizations(n: int) -> list[tuple[int, ...]]:
 FACTORIZATIONS = [f for n in range(1, 65) for f in ordered_factorizations(n)]
 LARGE_FACTORIZATIONS = [(512,), (509,), (2,) * 9, (8, 8, 8), (2, 4, 64)]
 LARGE_IDS = ["Z512", "Z509", "Z2^9", "Z8^3", "Z2xZ4xZ64"]
+#: The large tables plus a large prime, a product with one, and two small tables.
+INDEX_FACTORIZATIONS = LARGE_FACTORIZATIONS + [(239,), (5, 97), (12,), (2, 4, 16)]
+INDEX_IDS = LARGE_IDS + ["Z239", "Z5xZ97", "Z12", "Z2xZ4xZ16"]
 
 
 def unit_phases(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -37,6 +37,8 @@ from bentgroups import (
 from bentgroups import characters
 from conftest import (
     FACTORIZATIONS,
+    INDEX_FACTORIZATIONS,
+    INDEX_IDS,
     LARGE_FACTORIZATIONS,
     LARGE_IDS,
     unit_phases,
@@ -551,39 +553,50 @@ def test_abelian_table_json_rejects_a_non_finite_value_as_the_json_encoder_does(
     assert str(raised.value) == str(expected.value)
 
 
-def lexsort_distinct(class_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The former dedup of ``table_to_json``: one lexsort over all n^2 bit patterns."""
-    bits = np.ascontiguousarray(class_values).view(np.uint64).reshape(-1, 2)
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    ranked = bits[order]
-    first = np.ones(len(ranked), dtype=bool)
-    first[1:] = (ranked[1:, 0] != ranked[:-1, 0]) | (ranked[1:, 1] != ranked[:-1, 1])
-    inverse = np.empty(len(ranked), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ranked[first].view(complex)[:, 0], inverse.reshape(class_values.shape)
+def assert_json_values_gather_to_the_class_values(table) -> None:
+    """The values ``table_to_json`` renders, gathered through its index, are the
+    table's class values bit for bit."""
+    values, index = characters._value_index(table)
+    assert values[index].tobytes() == table.class_values.tobytes(), table.group.name
 
 
-def assert_dedup_matches_the_full_lexsort(table) -> None:
-    """``_distinct_values`` gives the table bit for bit, and the distinct list and
-    the index of the n^2 lexsort."""
-    distinct, index = characters._distinct_values(table)
-    assert distinct[index].tobytes() == table.class_values.tobytes(), table.group.name
-    want_distinct, want_index = lexsort_distinct(table.class_values)
-    assert distinct.tobytes() == want_distinct.tobytes(), table.group.name
-    assert np.array_equal(index, want_index), table.group.name
-
-
-def test_json_dedup_matches_the_full_lexsort_up_to_order_64():
+def test_json_values_gather_to_the_class_values_up_to_order_64():
     for factors in FACTORIZATIONS:
-        assert_dedup_matches_the_full_lexsort(character_table(make_abelian(factors)))
+        assert_json_values_gather_to_the_class_values(character_table(make_abelian(factors)))
     for label in ("V4", "S3", "Q8", "D4"):
-        assert_dedup_matches_the_full_lexsort(character_table(group_from_label(label)))
+        assert_json_values_gather_to_the_class_values(character_table(group_from_label(label)))
 
 
-@pytest.mark.parametrize("factors", LARGE_FACTORIZATIONS + [(239,), (5, 97), (12,), (2, 4, 16)],
-                         ids=LARGE_IDS + ["Z239", "Z5xZ97", "Z12", "Z2xZ4xZ16"])
-def test_json_dedup_matches_the_full_lexsort_at_large_orders(factors):
-    assert_dedup_matches_the_full_lexsort(character_table(make_abelian(factors)))
+@pytest.mark.parametrize("factors", INDEX_FACTORIZATIONS, ids=INDEX_IDS)
+def test_json_values_gather_to_the_class_values_at_large_orders(factors):
+    assert_json_values_gather_to_the_class_values(character_table(make_abelian(factors)))
+
+
+def loop_exponent_index(factors: tuple[int, ...]) -> np.ndarray:
+    """The exponent index as one loop from the last factor outward: factor m's
+    exponent grid times the order k of the later factors, plus theirs."""
+    index = np.zeros((1, 1), dtype=np.intp)
+    for m in reversed(factors):
+        k = len(index)
+        digits = np.arange(m)
+        grid = np.multiply.outer(digits, digits) % m * k
+        index = (grid[:, None, :, None] + index[None, :, None, :]).reshape(m * k, m * k)
+    return index
+
+
+def assert_exponent_index_matches_the_loop(factors: tuple[int, ...]) -> None:
+    got, want = characters._exponent_index(factors), loop_exponent_index(factors)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), factors
+
+
+def test_exponent_index_matches_the_loop_up_to_order_64():
+    for factors in FACTORIZATIONS:
+        assert_exponent_index_matches_the_loop(factors)
+
+
+@pytest.mark.parametrize("factors", INDEX_FACTORIZATIONS, ids=INDEX_IDS)
+def test_exponent_index_matches_the_loop_at_large_orders(factors):
+    assert_exponent_index_matches_the_loop(factors)
 
 
 def test_table_csv_rendering(z3_table, s3_table):

@@ -231,6 +231,23 @@ def test_file_round_trip(tmp_path, v4_table):
     np.testing.assert_allclose(back.values, f.values, atol=1e-12)
 
 
+def test_saved_file_is_the_json_dump(tmp_path, z4_table):
+    f = from_coefficients(z4_table, [0.5, 0.5j, -0.5, 0.5])
+    path = tmp_path / "f.json"
+    save_class_function(f, str(path))
+    want = json.dumps(class_function_to_json(f), indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_saving_a_non_finite_function_raises_and_writes_no_file(tmp_path, z4_table):
+    """A NaN would be written as a bare ``NaN`` token, which no loader accepts."""
+    f = from_coefficients(z4_table, [NAN, 0.5, 0.5, 0.5])
+    path = tmp_path / "f.json"
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        save_class_function(f, str(path))
+    assert not path.exists()
+
+
 def test_loaded_functions_land_on_named_groups():
     table = character_table(group_from_label("Z2xZ3"))
     f = from_coefficients(table, np.ones(6) / 6)

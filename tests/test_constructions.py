@@ -206,6 +206,8 @@ def test_global_phase_preserves_bentness(bent_z8):
 def test_global_phase_rejects_non_unit(bent_z8):
     with pytest.raises(ValueError, match="unimodular"):
         global_phase(bent_z8, 2.0)
+    with pytest.raises(ValueError, match=r"unimodular, got \|c\| = nan"):
+        global_phase(bent_z8, complex(math.nan, 0.0))
 
 
 def test_translate_preserves_bentness(bent_z8):

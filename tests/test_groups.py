@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,13 @@ from bentgroups import (
     multiply,
 )
 from bentgroups import characters, constructions, groups
-from conftest import FACTORIZATIONS, LARGE_FACTORIZATIONS, LARGE_IDS
+from conftest import (
+    FACTORIZATIONS,
+    INDEX_FACTORIZATIONS,
+    INDEX_IDS,
+    LARGE_FACTORIZATIONS,
+    LARGE_IDS,
+)
 
 ALL_LABELS = ["Z1", "Z2", "Z6", "Z12", "Z2xZ3", "Z4xZ2", "S3", "Q8", "V4", "D4"]
 
@@ -215,6 +222,34 @@ def test_cayley_broadcast_matches_the_mixed_radix_table_up_to_order_64():
 def test_cayley_broadcast_matches_the_mixed_radix_table_at_order_512(factors):
     assert_matches_mixed_radix(factors)
     assert_matches_loops(make_abelian(factors))
+
+
+def loop_cayley(factors: tuple[int, ...]) -> np.ndarray:
+    """The product's table as one loop from the last factor outward: Z_m's table
+    ``(i + j) % m``, a sliding window over ``arange(2m - 1) % m``, times the
+    order k of the later factors, plus theirs."""
+    cayley = np.zeros((1, 1), dtype=np.int64)
+    for m in reversed(factors):
+        k = len(cayley)
+        window = sliding_window_view(np.arange(2 * m - 1) % m * k, m)
+        cayley = (window[:, None, :, None] + cayley[None, :, None, :]).reshape(m * k, m * k)
+    return cayley
+
+
+def assert_cayley_matches_the_loop(factors: tuple[int, ...]) -> None:
+    got, want = groups._abelian_cayley(factors), loop_cayley(factors)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), factors
+    assert not got.flags.writeable, factors
+
+
+def test_cayley_matches_the_loop_up_to_order_64():
+    for factors in FACTORIZATIONS:
+        assert_cayley_matches_the_loop(factors)
+
+
+@pytest.mark.parametrize("factors", INDEX_FACTORIZATIONS, ids=INDEX_IDS)
+def test_cayley_matches_the_loop_at_large_orders(factors):
+    assert_cayley_matches_the_loop(factors)
 
 
 def assert_closed_form_matches_the_validated_build(factors: tuple[int, ...]) -> None:
