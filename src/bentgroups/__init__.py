@@ -61,6 +61,7 @@ from .criteria import (
     cyclic_satisfied,
     impossibility_certificate,
     klein_criterion,
+    klein_satisfied,
     outcome_to_json,
     q8_equation_residuals,
     solve_magnitude_system,

@@ -35,6 +35,9 @@ __all__ = [
 BENT = "BENT"
 NOT_BENT = "NOT_BENT"
 NOT_UNIMODULAR = "NOT_UNIMODULAR"
+#: Indexed by oracle_verdicts' codes.  Each label must be longer than the one
+#: before it: the verdict array takes the width of the largest code present.
+_VERDICTS = (BENT, NOT_BENT, NOT_UNIMODULAR)
 
 #: Checks on a function that went through the character transform and back
 #: run at no tolerance below n^2 times this.  The round trip moves a value by
@@ -176,7 +179,9 @@ def oracle_verdicts(
     Returns each row's :func:`is_bent` verdict and its :func:`is_bent_spectral`
     outcome.  The sums are batched matrix products, which may round
     differently from the per-function calls in the last bits; the verdict
-    rules are theirs.
+    rules are theirs.  The verdicts are selected by array comparisons, with
+    :func:`_verdict`'s rule and NaN handling, into a string array as wide as
+    the longest verdict present, as ``np.array`` over the strings would be.
     """
     group = table.group
     n = group.order
@@ -187,9 +192,10 @@ def oracle_verdicts(
     sums = (v[:, group.cayley] @ np.conj(v)[:, :, None])[:, :, 0]
     residuals = np.abs(sums[:, np.arange(n) != group.identity])
     max_residual = _row_max(residuals, initial=0.0)
-    verdicts = np.array(
-        [_verdict(d, m, n, tol) for d, m in zip(deviation.tolist(), max_residual.tolist())]
-    )
+    # 0, 1, 2 for BENT, NOT_BENT, NOT_UNIMODULAR; NaN fails both comparisons
+    # as in _verdict
+    code = np.where(deviation > tol, 2, np.where(max_residual <= n * tol, 0, 1))
+    verdicts = np.array(_VERDICTS[: code.max(initial=0) + 1])[code]
     spectra = np.abs(v @ np.conj(table.phi)) ** 2 / np.square(table.degrees)
     flat = (deviation <= tol) & (_row_max(np.abs(spectra - n)) <= n * tol)
     return verdicts, flat

@@ -10,6 +10,7 @@ a group built from cyclic factors.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -162,6 +163,9 @@ def _from_pairs(data: object) -> np.ndarray:
         raise ValueError(message) from exc
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
         raise ValueError(message)
+    # numpy reads a boolean among numbers as 0 or 1
+    if not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(data))):
+        raise ValueError(message)
     pairs = pairs.astype(float)
     bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
     if len(bad):
@@ -181,6 +185,8 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
     every derivative sum; anything else raises ValueError, before the
     character table is looked up unless only the energy sum fails.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"class-function JSON must be an object, got {type(obj).__name__}")
     try:
         label = str(obj["group"])
         basis = str(obj["basis"])

@@ -253,6 +253,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"--tol must be a finite non-negative number, got {args.tol}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, RuntimeError, IndexError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

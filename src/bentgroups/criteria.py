@@ -29,6 +29,7 @@ __all__ = [
     "cyclic_satisfied",
     "impossibility_certificate",
     "klein_criterion",
+    "klein_satisfied",
     "outcome_to_json",
     "q8_equation_residuals",
     "solve_magnitude_system",
@@ -82,6 +83,24 @@ def _finalize(name: str, checks: list[tuple[str, float]], tol: float) -> Criteri
     return CriterionOutcome(
         name=name, satisfied=not violations, violations=violations, tol=tol
     )
+
+
+def _printed_sums(a: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """One sum of terms conj(a_i) a_j per row of ``terms``, a (sums, terms, 2)
+    array of (i, j), for each coefficient row of ``a``.
+
+    Each product is formed from real parts, unfused, and the terms are added
+    left to right as printed, so every sum rounds like scalar complex
+    arithmetic on its row alone; numpy's vectorized complex multiply may fuse.
+    """
+    x, y = a[..., terms[..., 0]], a[..., terms[..., 1]]
+    products = np.empty(x.shape, dtype=complex)
+    products.real = x.real * y.real + x.imag * y.imag
+    products.imag = x.real * y.imag - x.imag * y.real
+    sums = products[..., 0]
+    for k in range(1, terms.shape[1]):
+        sums = sums + products[..., k]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +222,24 @@ def cyclic_satisfied(a: Sequence[complex], tol: float = DEFAULT_TOL) -> np.ndarr
 # Klein four-group
 
 
+_KLEIN_LABELS = ("|a_1|", "|a_2|", "|a_3|", "|a_4|", "R1 sum", "R2 sum", "R3 sum")
+#: The (i, j) of each term conj(a_i) a_j of R1, R2 and R3, in printed order.
+_KLEIN_TERMS = np.array([
+    [(0, 1), (2, 3), (1, 0), (3, 2)],
+    [(0, 2), (1, 3), (2, 0), (3, 1)],
+    [(0, 2), (2, 0), (1, 3), (3, 1)],
+])
+
+
+def _klein_residuals(a: np.ndarray) -> np.ndarray:
+    """Residuals of the printed V4 equations, per row: |a_i| - 1/2, then R1, R2, R3."""
+    values = np.concatenate((a, _printed_sums(a, _KLEIN_TERMS)), axis=-1)
+    # hypot rounds exactly like abs()
+    residuals = np.hypot(values.real, values.imag)
+    residuals[..., :4] = np.abs(residuals[..., :4] - 0.5)
+    return residuals
+
+
 def klein_criterion(a: Sequence[complex], tol: float = DEFAULT_TOL) -> CriterionOutcome:
     """The displayed V4 conditions, checked exactly as printed.
 
@@ -215,15 +252,13 @@ def klein_criterion(a: Sequence[complex], tol: float = DEFAULT_TOL) -> Criterion
     a = np.asarray(a, dtype=complex)
     if a.shape != (4,):
         raise ValueError(f"expected exactly 4 coefficients, got shape {a.shape}")
-    a1, a2, a3, a4 = (complex(z) for z in a)
-    checks = [(f"|a_{i + 1}|", abs(abs(a[i]) - 0.5)) for i in range(4)]
-    sums = {
-        "R1 sum": np.conj(a1) * a2 + np.conj(a3) * a4 + np.conj(a2) * a1 + np.conj(a4) * a3,
-        "R2 sum": np.conj(a1) * a3 + np.conj(a2) * a4 + np.conj(a3) * a1 + np.conj(a4) * a2,
-        "R3 sum": np.conj(a1) * a3 + np.conj(a3) * a1 + np.conj(a2) * a4 + np.conj(a4) * a2,
-    }
-    checks.extend((label, abs(value)) for label, value in sums.items())
+    checks = list(zip(_KLEIN_LABELS, _klein_residuals(a).tolist()))
     return _finalize("klein-four-printed", checks, tol)
+
+
+def klein_satisfied(a: Sequence[complex], tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``klein_criterion(row, tol).satisfied`` for every row of a (B, 4) batch."""
+    return ~np.any(_klein_residuals(np.asarray(a, dtype=complex)) > tol, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ from .constructions import (
     translate,
 )
 from .criteria import (
+    _klein_residuals,
+    _printed_sums,
     abelian_magnitude_necessary,
     cyclic_lag_sums,
     cyclic_satisfied,
@@ -106,36 +108,35 @@ def _random_coefficients(rng: np.random.Generator, n: int, count: int) -> np.nda
     flat-magnitude random phase, and simplex magnitudes with random phase.
 
     The draws are made per row, in row order, so the generator stream is that
-    of one call per vector; only the complex transforms run once per style,
-    on the stacked draws, and they round exactly as they do per row.  A
-    simplex row is what ``rng.dirichlet(np.ones(n))`` returns: the same n
-    standard exponential draws, summed left to right and scaled by the
-    reciprocal of the sum, so the rows and the generator state match it bit
-    for bit without its per-call validation.
+    of one call per vector, each row written with ``out=`` into its slot of a
+    preallocated array; only the complex transforms run once per style, on
+    the whole arrays, and they round exactly as they do per row.  A simplex
+    row is what ``rng.dirichlet(np.ones(n))`` returns: the same n standard
+    exponential draws, summed left to right and scaled by the reciprocal of
+    the sum, so the rows and the generator state match it bit for bit.
     """
-    gauss, flat, simplex, simplex_phases = [], [], [], []
-    for k in range(count):
-        kind = k % 3
-        if kind == 0:
-            gauss.append(rng.standard_normal(2 * n))
-        elif kind == 1:
-            flat.append(rng.random(n))
-        else:
-            simplex.append(rng.standard_exponential(n))
-            simplex_phases.append(rng.random(n))
+    normal, uniform, exponential = rng.standard_normal, rng.random, rng.standard_exponential
+    gauss = np.empty(((count + 2) // 3, 2 * n))
+    flat = np.empty(((count + 1) // 3, n))
+    simplex = np.empty((count // 3, n))
+    simplex_phases = np.empty((count // 3, n))
+    for g, f, s, p in zip(gauss, flat, simplex, simplex_phases):
+        normal(out=g)
+        uniform(out=f)
+        exponential(out=s)
+        uniform(out=p)
+    if count % 3:
+        normal(out=gauss[-1])
+    if count % 3 == 2:
+        uniform(out=flat[-1])
     out = np.empty((count, n), dtype=complex)
-    if gauss:
-        g = np.array(gauss)
-        out[0::3] = (g[:, :n] + 1j * g[:, n:]) / math.sqrt(2 * n)
-    if flat:
-        out[1::3] = np.exp(2j * np.pi * np.array(flat)) / math.sqrt(n)
-    if simplex:
-        draws = np.array(simplex)
-        total = draws[:, 0].copy()
-        for column in draws.T[1:]:
-            total += column
-        magnitudes = draws * (1.0 / total)[:, None]
-        out[2::3] = np.sqrt(magnitudes) * np.exp(2j * np.pi * np.array(simplex_phases))
+    out[0::3] = (gauss[:, :n] + 1j * gauss[:, n:]) / math.sqrt(2 * n)
+    out[1::3] = np.exp(2j * np.pi * flat) / math.sqrt(n)
+    total = simplex[:, 0].copy()
+    for column in simplex.T[1:]:
+        total += column
+    magnitudes = simplex * (1.0 / total)[:, None]
+    out[2::3] = np.sqrt(magnitudes) * np.exp(2j * np.pi * simplex_phases)
     return out
 
 
@@ -264,27 +265,16 @@ def _claim_z2_counterexample(tol: float) -> LedgerEntry:
     )
 
 
+#: The (i, j) of each term conj(a_i) a_j of the displayed Z3 sum and Z4 sums.
+_Z3_Z4_TERMS = {
+    3: np.array([[(0, 1), (1, 2), (2, 0)]]),
+    4: np.array([[(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 2), (1, 3), (2, 0), (3, 1)]]),
+}
+
+
 def _printed_z3_z4_sums(a: np.ndarray) -> np.ndarray:
     """The displayed Z3 sum (one column) or Z4 sums (two) for each row of ``a``."""
-
-    def term(i: int, j: int) -> np.ndarray:
-        # conj(a_i) * a_j from real parts, unfused, so it rounds like scalar
-        # complex multiplication; numpy's vectorized complex multiply may fuse
-        x, y = a[:, i], a[:, j]
-        out = np.empty(len(a), dtype=complex)
-        out.real = x.real * y.real + x.imag * y.imag
-        out.imag = x.real * y.imag - x.imag * y.real
-        return out
-
-    if a.shape[1] == 3:
-        return (term(0, 1) + term(1, 2) + term(2, 0))[:, None]
-    return np.stack(
-        (
-            term(0, 1) + term(1, 2) + term(2, 3) + term(3, 0),
-            term(0, 2) + term(1, 3) + term(2, 0) + term(3, 1),
-        ),
-        axis=1,
-    )
+    return _printed_sums(a, _Z3_Z4_TERMS[a.shape[1]])
 
 
 def _criterion_vs_oracle(table: CharacterTable, a: np.ndarray, tol: float) -> int:
@@ -354,13 +344,19 @@ def _claim_cyclic_general(tol: float, seed: int) -> LedgerEntry:
 
 
 def _claim_klein_remark(tol: float, seed: int) -> LedgerEntry:
+    """The printed V4 sums on a chain of 50 transforms of a bent function:
+    inf if :func:`is_bent` rejects any function, else the largest residual
+    of the printed equations above ``tol`` over the whole chain, evaluated in
+    one batch; each row's residuals are the ones :func:`klein_criterion`
+    reports for it, bit for bit.
+    """
     rng = _rng(seed, 4)
     table = character_table(make_named("V4"))
     seed_coeffs = np.kron(
         np.array([1.0, -1j]) / math.sqrt(2.0), np.array([1.0, -1j]) / math.sqrt(2.0)
     )
-    worst = 0.0
     f = from_coefficients(table, seed_coeffs)
+    chain = []
     for _ in range(50):
         kind = int(rng.integers(0, 3))
         if kind == 0:
@@ -369,12 +365,12 @@ def _claim_klein_remark(tol: float, seed: int) -> LedgerEntry:
             f = translate(f, int(rng.integers(0, 4)))
         else:
             f = character_twist(f, int(rng.integers(0, 4)))
-        if is_bent(f, tol).verdict != BENT:
-            worst = math.inf
-            break
-        outcome = klein_criterion(f.coefficients, tol)
-        if not outcome.satisfied:
-            worst = max(worst, max(res for _, res in outcome.violations))
+        chain.append(f)
+    if any(is_bent(f, tol).verdict != BENT for f in chain):
+        worst = math.inf
+    else:
+        r = _klein_residuals(np.array([f.coefficients for f in chain]))
+        worst = float(np.max(r, where=r > tol, initial=0.0))
     probe = np.array([1.0, 1j, 1j, 1.0]) / 2.0
     probe_passes = klein_criterion(probe, tol).satisfied
     probe_verdict = is_bent(from_coefficients(table, probe), tol).verdict
@@ -484,10 +480,13 @@ def _search_entry(
 def build_ledger(tol: float = 1e-8, budget: int = DEFAULT_BUDGET, seed: int = 0) -> PaperLedger:
     """Run every claim check and assemble the ledger.
 
-    A budget of 0 skips the two search entries; a negative one is rejected.
+    A budget of 0 skips the two search entries; a negative budget or seed is
+    rejected.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     entries = (
         _claim_character_tables(tol),
         _claim_derivative_definition(tol),

@@ -59,6 +59,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError(f"budget must be at least 1, got {self.budget}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "strategy", Strategy(self.strategy))
 
 

@@ -32,7 +32,7 @@ from bentgroups import (
     spectrum,
     zadoff_chu,
 )
-from bentgroups.bentness import _row_max
+from bentgroups.bentness import _row_max, _verdict
 from bentgroups.characters import _FFT_ORDER
 
 from conftest import (
@@ -315,6 +315,41 @@ def test_oracle_verdicts_bit_identical_to_axis_max_form(label):
         reference_verdicts, reference_flat = axis_max_oracle_verdicts(table, values, tol)
         assert verdicts.tolist() == reference_verdicts
         assert flat.tobytes() == reference_flat.tobytes()
+
+
+@pytest.mark.parametrize("label", ["Z2", "Z5", "Z12", "V4", "S3", "Q8"])
+def test_oracle_verdicts_select_what_the_scalar_rule_gives(label):
+    """Row by row, the array selection gives ``_verdict`` of the row's deviation
+    and residual, in the dtype ``np.array`` gives those strings, on batches with
+    any mix of the three verdicts and NaN rows."""
+    table = character_table(group_from_label(label))
+    n = table.group.order
+    functions = verdict_batch(table, np.random.default_rng(n + 11))
+    values = np.array([f.values for f in functions] + [functions[-1].values] * 2)
+    values[-2, 0] = complex(math.nan, 0.0)
+    values[-1] = math.nan
+    deviations, residuals, _ = oracle_rows(table, values)
+    deviation = np.max(deviations, axis=1)
+    max_residual = np.max(residuals, axis=1, initial=0.0)
+    kinds = {
+        verdict: np.flatnonzero(
+            [_verdict(d, m, n, 1e-8) == verdict for d, m in zip(deviation, max_residual)]
+        )
+        for verdict in (BENT, NOT_BENT, NOT_UNIMODULAR)
+    }
+    nan_rows = [len(values) - 2, len(values) - 1]
+    batches = [np.arange(len(values)), nan_rows, kinds[NOT_BENT], kinds[NOT_UNIMODULAR],
+               np.concatenate((kinds[NOT_BENT][:2], kinds[NOT_UNIMODULAR][:2]))]
+    if len(kinds[BENT]):
+        batches += [kinds[BENT], np.concatenate((kinds[BENT], kinds[NOT_BENT][:1]))]
+    for rows in batches:
+        deviations, residuals, _ = oracle_rows(table, values[rows])
+        pairs = list(zip(np.max(deviations, axis=1), np.max(residuals, axis=1, initial=0.0)))
+        for tol in (0.0, 1e-8, 0.5):
+            verdicts, _ = oracle_verdicts(table, values[rows], tol)
+            expected = np.array([_verdict(d, m, n, tol) for d, m in pairs])
+            assert verdicts.tolist() == expected.tolist()
+            assert verdicts.dtype == expected.dtype
 
 
 def test_oracle_verdicts_share_the_rule_on_non_finite_values(z3_table):

@@ -153,6 +153,15 @@ def test_json_rejects_malformed():
         )
 
 
+@pytest.mark.parametrize("obj", [[{"group": "Z4"}], "Z4", 4.0, None])
+def test_json_that_is_not_an_object_is_rejected(obj):
+    with pytest.raises(ValueError) as raised:
+        class_function_from_json(obj)
+    assert str(raised.value) == (
+        f"class-function JSON must be an object, got {type(obj).__name__}"
+    )
+
+
 def test_json_group_mismatch(z3_table, z4_table):
     f = from_coefficients(z3_table, np.array([1.0, 0, 0]))
     obj = class_function_to_json(f)
@@ -200,6 +209,8 @@ NAN = float("nan")
         ("Z251xZ2", "pointwise", 5, "class-function data must be a list of [re, im] pairs of numbers"),
         ("Z251xZ2", "pointwise", [["a", "b"]] * 502,
          "class-function data must be a list of [re, im] pairs of numbers"),
+        ("Z251xZ2", "coefficients", [[0.5, 0.0]] * 501 + [[True, 0.0]],
+         "class-function data must be a list of [re, im] pairs of numbers"),
         ("Z251xZ2", "sideways", [[1.0, 0.0]] * 502,
          "unknown basis 'sideways'; expected 'coefficients' or 'pointwise'"),
         ("Z251xZ0", "pointwise", [[NAN, 0.0]], "cyclic factor sizes must be positive, got (251, 0)"),
@@ -208,7 +219,7 @@ NAN = float("nan")
          "expected 509 coefficients for Z509, got shape (3,)"),
         ("S3", "pointwise", [[0.5, 0.0]] * 2, "expected 6 values for S3, got shape (2,)"),
     ],
-    ids=["nan", "ragged", "int", "str", "basis", "label", "order", "length", "s3-length"],
+    ids=["nan", "ragged", "int", "str", "bool", "basis", "label", "order", "length", "s3-length"],
 )
 def test_malformed_file_builds_no_character_table(label, basis, data, message):
     """The label's error comes first, then the data's, the basis's and the

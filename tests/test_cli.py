@@ -131,8 +131,10 @@ def test_check_truncated_json(capsys, tmp_path):
         [[1], [0, 0], [0, 0]],
         [[float("nan"), 0.0], [0.5, 0.0], [0.5, 0.0]],
         [[1e308, 1e308]] * 3,
+        [[True, False], [0.5, 0.0], [0.5, 0.0]],
+        [[1, 0], [0, True], [0, 0]],
     ],
-    ids=["int", "ragged", "nan", "1e308"],
+    ids=["int", "ragged", "nan", "1e308", "bool-among-floats", "bool-among-ints"],
 )
 def test_check_malformed_data_exits_2(capsys, tmp_path, data):
     path = tmp_path / "bad.json"
@@ -142,6 +144,17 @@ def test_check_malformed_data_exits_2(capsys, tmp_path, data):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("payload", [[1, 2], "Z3", None])
+def test_check_non_object_json_exits_2(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: class-function JSON must be an object, got {type(payload).__name__}"
+    ]
 
 
 def reject_constant(token):
@@ -386,6 +399,18 @@ def test_invalid_tol_is_rejected_before_any_work(capsys, command):
                 # one error line, about the tolerance, not the missing check input
                 message = f"error: --tol must be a finite non-negative number, got {float(tol)}"
                 assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_negative_seed_is_rejected_before_any_work(capsys, command):
+    for seed in ("-1", "-5"):
+        for spelling in ([f"--seed={seed}"], ["--seed", seed]):
+            for argv in (COMMANDS[command] + spelling, spelling + COMMANDS[command]):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (2, "")
+                assert err.splitlines() == [
+                    f"error: --seed must be a non-negative integer, got {seed}"
+                ]
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from bentgroups import (
     impossibility_certificate,
     is_bent,
     klein_criterion,
+    klein_satisfied,
     make_bent_cyclic,
     make_cyclic,
     make_named,
@@ -303,6 +304,41 @@ def test_klein_criterion_is_necessary_but_not_sufficient(v4_table):
     assert outcome.satisfied
     report = is_bent(from_coefficients(v4_table, probe))
     assert report.verdict == NOT_UNIMODULAR
+
+
+def scalar_klein_checks(a: np.ndarray) -> list[tuple[str, float]]:
+    """Every printed V4 check of one vector in numpy scalar arithmetic: the
+    reference for ``klein_criterion``'s array residuals."""
+    a1, a2, a3, a4 = (complex(z) for z in a)
+    checks = [(f"|a_{i + 1}|", abs(abs(a[i]) - 0.5)) for i in range(4)]
+    sums = {
+        "R1 sum": np.conj(a1) * a2 + np.conj(a3) * a4 + np.conj(a2) * a1 + np.conj(a4) * a3,
+        "R2 sum": np.conj(a1) * a3 + np.conj(a2) * a4 + np.conj(a3) * a1 + np.conj(a4) * a2,
+        "R3 sum": np.conj(a1) * a3 + np.conj(a3) * a1 + np.conj(a2) * a4 + np.conj(a4) * a2,
+    }
+    return checks + [(label, abs(value)) for label, value in sums.items()]
+
+
+def test_klein_criterion_and_satisfied_match_scalar_arithmetic():
+    """Residuals bit for bit, row by row, on vectors near and far from bent."""
+    rng = np.random.default_rng(44)
+    bent = BENT_V4 * np.exp(2j * np.pi * rng.random((100, 1)))
+    a = np.vstack((
+        bent,
+        bent * (1.0 + 1e-9 * rng.standard_normal((100, 4))),
+        (rng.standard_normal((100, 4)) + 1j * rng.standard_normal((100, 4))) / 2.0,
+    ))
+    for tol in (0.0, 1e-16, 1e-12, 1e-8, 0.5):
+        for row in a:
+            violations = [(label, res) for label, res in scalar_klein_checks(row) if res > tol]
+            outcome = klein_criterion(row, tol)
+            assert [(label, np.float64(res).hex()) for label, res in outcome.violations] == [
+                (label, np.float64(res).hex()) for label, res in violations
+            ]
+            assert outcome.satisfied == (not violations)
+        satisfied = klein_satisfied(a, tol)
+        assert satisfied.tolist() == [klein_criterion(row, tol).satisfied for row in a]
+    assert klein_satisfied(a, 1e-8).any() and not klein_satisfied(a, 1e-8).all()
 
 
 def test_klein_r2_r3_same_terms():

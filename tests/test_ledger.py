@@ -13,6 +13,7 @@ import pytest
 import bentgroups.ledger as ledger_module
 from bentgroups import (
     BENT,
+    NOT_BENT,
     SequenceKind,
     SequenceSpec,
     build_ledger,
@@ -24,9 +25,12 @@ from bentgroups import (
     impossibility_certificate,
     is_bent,
     is_bent_spectral,
+    klein_criterion,
     ledger_to_json,
     make_bent_cyclic,
     make_cyclic,
+    make_named,
+    oracle_verdicts,
 )
 
 EXPECTED_CLAIMS = [
@@ -97,6 +101,11 @@ def test_budget_zero_skips_search_entries():
 def test_negative_budget_is_rejected():
     with pytest.raises(ValueError, match="budget must be non-negative, got -3"):
         build_ledger(budget=-3)
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+        build_ledger(budget=0, seed=-5)
 
 
 def test_certified_search_witness_fails_both_search_claims(monkeypatch):
@@ -300,3 +309,120 @@ def test_agreement_claims_match_per_vector_loops(seed):
     entry = ledger_module._claim_cyclic_general(tol, seed)
     assert (entry.metric, entry.status) == (float(disagreements), "PASS")
     assert f"on {checked} coefficient vectors" in entry.detail
+
+
+# ---------------------------------------------------------------------------
+# the batched Klein claim against its per-function loop form
+
+TRANSFORMS = ("global_phase", "translate", "character_twist")
+
+
+def klein_chain(seed: int) -> list:
+    """The Klein claim's 50 transformed bent functions on V4."""
+    rng = ledger_module._rng(seed, 4)
+    half = np.array([1.0, -1j]) / math.sqrt(2.0)
+    f = from_coefficients(character_table(make_named("V4")), np.kron(half, half))
+    chain = []
+    for _ in range(50):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            f = ledger_module.global_phase(f, np.exp(2j * np.pi * rng.random()))
+        elif kind == 1:
+            f = ledger_module.translate(f, int(rng.integers(0, 4)))
+        else:
+            f = ledger_module.character_twist(f, int(rng.integers(0, 4)))
+        chain.append(f)
+    return chain
+
+
+def loop_klein(tol: float, seed: int) -> float:
+    """The Klein claim's metric with one ``is_bent`` and one ``klein_criterion``
+    call per function of the chain, stopping at the first non-BENT function."""
+    worst = 0.0
+    for f in klein_chain(seed):
+        if is_bent(f, tol).verdict != BENT:
+            return math.inf
+        outcome = klein_criterion(f.coefficients, tol)
+        if not outcome.satisfied:
+            worst = max(worst, max(res for _, res in outcome.violations))
+    return worst
+
+
+def replace_transform_output(monkeypatch, step: int, replace) -> list:
+    """Make the chain's ``step``-th transform return ``replace(its output)``;
+    returns the list every transform's output is appended to."""
+    produced = []
+    for name in TRANSFORMS:
+        def transform(f, arg, original=getattr(ledger_module, name)):
+            out = original(f, arg)
+            if len(produced) == step:
+                out = replace(out)
+            produced.append(out)
+            return out
+
+        monkeypatch.setattr(ledger_module, name, transform)
+    return produced
+
+
+# 1e-15 and 5e-16 lie below the rounding floor 16e-15 of order 4
+@pytest.mark.parametrize("tol", [1e-8, 5e-15, 1e-15, 5e-16])
+@pytest.mark.parametrize("seed", range(8))
+def test_klein_claim_matches_per_function_loop(tol, seed):
+    entry = ledger_module._claim_klein_remark(tol, seed)
+    assert entry.metric == loop_klein(tol, seed)
+    assert entry.status == ("PASS" if entry.metric <= tol else "FAIL")
+
+
+def test_klein_claim_below_the_rounding_floor_decides_as_is_bent():
+    """1e-15 is below the rounding floor 16e-15 of order 4.  There, on this
+    chain, is_bent's slack makes a function NOT_BENT that the brute-force sums
+    of oracle_verdicts pass, so a batched oracle_verdicts would change the
+    claim; it keeps is_bent's verdict."""
+    chain = klein_chain(214)
+    table = chain[0].table
+    verdicts, _ = oracle_verdicts(table, np.array([f.values for f in chain]), 1e-15)
+    assert set(verdicts.tolist()) == {BENT}
+    assert loop_klein(1e-15, 214) == math.inf
+    assert ledger_module._claim_klein_remark(1e-15, 214).metric == math.inf
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-15])
+@pytest.mark.parametrize("step", [0, 17, 49])
+def test_klein_claim_fails_when_a_transform_breaks_bentness(monkeypatch, tol, step):
+    """A constant function is not bent, and no later transform makes it bent."""
+    replace_transform_output(
+        monkeypatch, step, lambda f: from_coefficients(f.table, [1.0, 0.0, 0.0, 0.0])
+    )
+    entry = ledger_module._claim_klein_remark(tol, 0)
+    assert (entry.metric, entry.status) == (math.inf, "FAIL")
+
+
+@pytest.mark.parametrize("step", [0, 17, 49])
+def test_klein_claim_fails_when_one_function_alone_is_not_bent(monkeypatch, step):
+    """Every function of the chain is decided, not only the last or a later one."""
+    produced = replace_transform_output(monkeypatch, step, lambda f: f)
+    real = ledger_module.is_bent
+    monkeypatch.setattr(
+        ledger_module, "is_bent",
+        lambda f, tol: SimpleNamespace(verdict=NOT_BENT) if f is produced[step] else real(f, tol),
+    )
+    entry = ledger_module._claim_klein_remark(1e-8, 0)
+    assert (entry.metric, entry.status) == (math.inf, "FAIL")
+
+
+@pytest.mark.parametrize("step", [0, 17, 49])
+def test_klein_claim_reports_the_scalar_criterion_residual(monkeypatch, step):
+    """A chain function that violates the printed sums but is decided BENT
+    gives the largest residual ``klein_criterion`` reports on any such function."""
+    produced = replace_transform_output(
+        monkeypatch, step,
+        lambda f: from_coefficients(f.table, f.coefficients + [1e-3, 2e-3j, 0.0, 0.0]),
+    )
+    monkeypatch.setattr(ledger_module, "is_bent", lambda f, tol: SimpleNamespace(verdict=BENT))
+    tol = 1e-8
+    entry = ledger_module._claim_klein_remark(tol, 0)
+    expected = max(
+        res for f in produced for _, res in klein_criterion(f.coefficients, tol).violations
+    )
+    assert entry.metric == expected > 1e-4
+    assert entry.status == "FAIL"

@@ -57,6 +57,8 @@ def _reference_probe(table, shifts, a):
 def test_config_validation():
     with pytest.raises(ValueError, match="budget"):
         SearchConfig(group="Z4", budget=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SearchConfig(group="Z4", budget=10, seed=-1)
     config = SearchConfig(group="Z4", budget=10, strategy="random")
     assert config.strategy is Strategy.RANDOM
 
