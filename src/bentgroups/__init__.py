@@ -25,7 +25,6 @@ from .characters import (
     CharacterTable,
     OrthogonalityReport,
     character_table,
-    inner_product,
     table_to_csv,
     table_to_json,
     verify_orthogonality,
@@ -39,7 +38,6 @@ from .class_functions import (
     is_unimodular,
     load_class_function,
     save_class_function,
-    to_coefficients,
 )
 from .constructions import (
     CertifiedFunction,
@@ -61,8 +59,6 @@ from .criteria import (
     cyclic_satisfied,
     impossibility_certificate,
     klein_criterion,
-    klein_satisfied,
-    outcome_to_json,
     q8_equation_residuals,
     solve_magnitude_system,
     solve_q8_system,
@@ -71,7 +67,6 @@ from .errors import CapabilityError, ConstructionError, NumericDegeneracyError
 from .groups import (
     CATALOG,
     Group,
-    conjugacy_classes,
     element_order,
     group_from_json,
     group_from_label,

@@ -2,9 +2,11 @@
 
 Two routes feed the same :class:`CharacterTable` record:
 
-* groups built from cyclic factors get their characters analytically, as
-  products of root-of-unity characters indexed by exponent tuples in
-  row-major order;
+* groups built from cyclic factors get their characters analytically.  Every
+  value is an e-th root of unity, e the lcm of the factor orders, so entry
+  (i, c) is ``roots[E[i, c]]`` with the integer exponent
+  ``E[i, c] = sum_f (e / m_f) * ((i_f * c_f) mod m_f) mod e`` over the
+  row-major digits of the character and the element;
 * every other group (the named nonabelian groups, and any group loaded
   without factor structure, up to 15 classes) goes through the class-sum
   (Burnside--Dixon) eigenvalue method: the class-sum multiplication matrices
@@ -16,12 +18,11 @@ built-in reference tables and emitted in the reference row order; every other
 table puts the trivial character first, then sorts by degree and by rounded
 values.  On both routes the degrees are read from the identity column and
 must be integers, and the rows must be orthogonal: the class-sum route checks
-the Gram matrix, the analytic route a bound on it computed per cyclic factor.
+the Gram matrix, the analytic route a bound on it computed from the e roots.
 An analytic table builds and checks its values when they are first read: from
 order ``_FFT_ORDER`` on, its transforms :func:`project` and :func:`expand` are
-FFTs over the factors and never read them.  Its entry (i, c) is the entry
-``sum_f stride_f * ((i_f * c_f) mod m_f)`` of the character with every
-exponent 1, so :func:`table_to_json` renders n values for the n^2 entries.
+FFTs over the factors and never read them, and :func:`table_to_json` renders
+the e roots once each and gathers the n^2 entries through E.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "CharacterTable",
     "OrthogonalityReport",
     "character_table",
-    "inner_product",
     "table_to_csv",
     "table_to_json",
     "verify_orthogonality",
@@ -55,7 +55,7 @@ _EIGENVECTOR_RESIDUAL_TOL = 1e-7
 #: Rounding allowance of the analytic orthogonality bound, per group element.
 _GRAM_ROUNDING_PER_ELEMENT = 8 * float(np.finfo(float).eps)
 
-#: Rows per block of the m x m products of the analytic orthogonality bound.
+#: Rows per block of the e x e products of the analytic orthogonality bound.
 _ROW_BLOCK = 64
 
 #: Order from which an analytic table's transforms are FFTs: where one
@@ -77,9 +77,9 @@ class CharacterTable:
     square and ``phi @ phi^H / n`` is the identity.  Row 0 is always the
     trivial character.  A class-sum table is built with both arrays.  A table
     of a group built from cyclic factors has degrees 1 and builds its one
-    array, ``phi`` and ``class_values`` at once, when either is first read,
-    and checks its orthogonality bound then; so an FFT-sized table that is
-    only transformed never holds an n x n array.
+    array ``roots[E]``, which is both ``phi`` and ``class_values`` as E is
+    symmetric, when either is first read, and checks its roots then; so an
+    FFT-sized table that is only transformed never holds an n x n array.
     """
 
     group: Group
@@ -104,14 +104,12 @@ class CharacterTable:
     def _build_values(self) -> None:
         """Build and check the analytic values; threads that race here build
         equal read-only arrays."""
-        # phi is symmetric, a Kronecker product of symmetric factor blocks, so
-        # it is its own transpose: the class values are phi itself
-        phi, dev = _abelian_phi(self.group.abelian_factors)
-        _checked_degrees(phi, dev)
-        phi.setflags(write=False)
+        # E is symmetric, so phi is its own transpose: the class values
+        values = _checked_roots(self.group)[_exponents(self.group.abelian_factors)]
+        values.setflags(write=False)
         for name in ("_class_values", "_phi"):
             if getattr(self, name) is None:
-                object.__setattr__(self, name, phi)
+                object.__setattr__(self, name, values)
 
     @property
     def n_irreps(self) -> int:
@@ -150,44 +148,52 @@ def _roots_of_unity(m: int) -> np.ndarray:
     return roots
 
 
-def _abelian_phi(factors: Sequence[int]) -> tuple[np.ndarray, float]:
-    """Element-by-character value matrix for a product of cyclic factors, and
-    a bound on its orthogonality deviation ``max |phi^H phi / n - I|``.
+def _exponents(factors: Sequence[int]) -> np.ndarray:
+    """``E[i, c] = sum_f (e / m_f) * ((i_f * c_f) mod m_f) mod e``, e the lcm of the
+    factor orders m_f, over the row-major mixed-radix digits of character i and
+    element c: the exponent of the e-th root of unity that character i takes at
+    element c.  E is symmetric."""
+    e = math.lcm(*factors)
+    exponents = _kronecker_sum(
+        factors, lambda m, k: np.multiply.outer(np.arange(m), np.arange(m)) % m * (e // m))
+    if len(factors) > 1:  # one factor's exponents are below e already
+        exponents %= e
+    return exponents
 
-    Characters are indexed by exponent tuples in the same row-major order as
-    the elements, so ``phi[x, e] = prod_f omega_f^(x_f * e_f)``.
 
-    The bound costs O(sum m^2) where the Gram product costs O(n^3).  For one
-    factor of order m, entry (k, l) of the normalized Gram of ``roots[grid]``
-    averages ``roots[x*k] * conj(roots[x*l])`` over x; each term is within
-    ``delta = max_{a,b} |roots[a] * conj(roots[b]) - roots[a - b]|`` of
-    ``roots[x*(k - l)]``, whose average is ``S[k - l] / m`` with S the row
-    sums of ``roots[grid]``.  So the factor's Gram is within
-    ``dev = max_k |S[k] - m*[k == 0]| / m + delta`` of the identity, and the
-    Gram of the Kronecker product, the Kronecker product of the factors'
-    Grams, within ``prod(1 + dev) - 1``.  The margin covers the rounding of
-    phi's products, of the row sums and of a length-n dot product.
+def _root_bound(roots: np.ndarray, n: int) -> float:
+    """A bound on the orthogonality deviation ``max |G - I|`` of the n x n table
+    ``roots[E]``, G its Gram matrix over n, in O(e^2) where G costs O(n^3).
+
+    Entry (i, j) of G averages ``roots[E[i, x]] * conj(roots[E[j, x]])`` over x.
+    Each term is within ``delta = max_{a,c} |roots[a] * conj(roots[-c]) - roots[a + c]|``
+    of ``roots[E[i - j, x]]``.  The character i - j has an order d dividing e and
+    takes each exponent ``t * e / d``, t < d, equally often, so those terms
+    average to ``sum_t roots[t * e / d] / d``, which is 1 for d = 1 and 0 else.
+    The margin covers the rounding of the products and of a length-n sum.  The
+    bound assumes nothing of the roots, so it holds far from I too.
     """
-    phi = None
-    growth = 1.0
-    for m in factors:
-        roots = _roots_of_unity(m)
-        index = np.arange(m, dtype=np.int32)  # products stay below MAX_ORDER**2
-        grid = np.multiply.outer(index, index)
-        grid %= m
-        block = roots[grid]
-        phi = block if phi is None else np.kron(phi, block)
-        # delta with b = -c mod m, by row blocks: roots[a] * conj(roots[-c]) against
-        # roots[a + c], a sliding window over roots[(0 .. 2m - 2) % m]
-        conj = np.conj(roots)[-index]
-        shifted = sliding_window_view(roots[np.arange(2 * m - 1) % m], m)
-        blocks = (slice(a, a + _ROW_BLOCK) for a in range(0, m, _ROW_BLOCK))
-        delta = np.max([np.max(np.abs(np.multiply.outer(roots[rows], conj) - shifted[rows]))
-                        for rows in blocks])
-        sums = block.sum(axis=1)
-        sums[0] -= m
-        growth *= 1.0 + float(np.max(np.abs(sums))) / m + float(delta)
-    return phi, growth - 1.0 + _GRAM_ROUNDING_PER_ELEMENT * phi.shape[0]
+    e = len(roots)
+    index = np.arange(e)
+    # delta by row blocks: roots[a] * conj(roots[-c]) against roots[a + c], a
+    # sliding window over roots[(0 .. 2e - 2) % e]
+    conj = np.conj(roots)[-index]
+    shifted = sliding_window_view(roots[np.arange(2 * e - 1) % e], e)
+    blocks = (slice(a, a + _ROW_BLOCK) for a in range(0, e, _ROW_BLOCK))
+    delta = np.max([np.max(np.abs(np.multiply.outer(roots[rows], conj) - shifted[rows]))
+                    for rows in blocks])
+    averages = np.array([roots[::e // d].sum() / d for d in range(1, e + 1) if e % d == 0])
+    averages[0] -= 1.0  # d = 1, the diagonal
+    return float(delta) + float(np.max(np.abs(averages))) + _GRAM_ROUNDING_PER_ELEMENT * n
+
+
+def _checked_roots(group: Group) -> np.ndarray:
+    """The e-th roots of unity of an analytic table, e the exponent of ``group``,
+    once :func:`_root_bound` is within tolerance."""
+    roots = _roots_of_unity(group.exponent)
+    # every character's degree is its value at the identity, roots[0]
+    _checked_degrees(roots[:1, None], _root_bound(roots, group.order))
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +430,6 @@ def expand(table: CharacterTable, a: np.ndarray) -> np.ndarray:
     return table.phi @ a
 
 
-def inner_product(table: CharacterTable, u: Sequence[complex], v: Sequence[complex]) -> complex:
-    """Normalized inner product (1/n) * sum_x u(x) * conj(v(x)) over elements."""
-    n = table.group.order
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != (n,) or v.shape != (n,):
-        raise ValueError(f"expected two length-{n} value vectors, got {u.shape} and {v.shape}")
-    return complex(np.sum(u * np.conj(v)) / n)
-
-
 def verify_orthogonality(table: CharacterTable, tol: float = 1e-10) -> OrthogonalityReport:
     """Check both orthogonality relations over elements.
 
@@ -494,24 +490,15 @@ def _render_value(z: complex, root_order: int) -> str:
 _JSON_PAIR = "{0}[\n{0}  %r,\n{0}  %r\n{0}]"
 
 
-def _exponent_index(factors: Sequence[int]) -> np.ndarray:
-    """``index[i, c] = sum_f stride_f * ((i_f * c_f) mod m_f)`` over the row-major
-    mixed-radix digits of the factor sizes: the exponent tuple of the root that
-    character ``i`` takes at element ``c``."""
-    return _kronecker_sum(
-        factors, lambda m, k: np.multiply.outer(np.arange(m), np.arange(m)) % m * k)
-
-
 def _value_index(table: CharacterTable) -> tuple[np.ndarray, np.ndarray]:
     """Values and an index into them with ``class_values == values[index]`` bit
-    for bit: on an analytic table the n values of the character with every
-    exponent 1, ``prod_f roots_f[c_f]``, else the r^2 class values."""
-    class_values = table.class_values
+    for bit: on an analytic table the checked e-th roots of unity and E, else
+    the r^2 class values."""
     factors = table.group.abelian_factors
-    if factors is None:
-        return class_values.ravel(), np.arange(class_values.size).reshape(class_values.shape)
-    ones = np.ravel_multi_index([1 % m for m in factors], factors)
-    return class_values[ones], _exponent_index(factors)
+    if factors is not None:
+        return _checked_roots(table.group), _exponents(factors)
+    class_values = table.class_values
+    return class_values.ravel(), np.arange(class_values.size).reshape(class_values.shape)
 
 
 def table_to_json(table: CharacterTable) -> str:
@@ -526,14 +513,14 @@ def table_to_json(table: CharacterTable) -> str:
     Raises ValueError on a non-finite value, as ``allow_nan=False`` does.
     """
     group = table.group
-    flat = np.ascontiguousarray(table.class_values).view(float).ravel()
+    values, index = _value_index(table)
+    flat = np.ascontiguousarray(values).view(float)
     finite = np.isfinite(flat)
     if not finite.all():
         bad = float(flat[np.argmin(finite)])
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    values, index = _value_index(table)
     pair = _JSON_PAIR.format(" " * 8)  # "values" pairs sit at 8 spaces
-    pairs = np.ascontiguousarray(values).view(float).reshape(-1, 2).tolist()
+    pairs = flat.reshape(-1, 2).tolist()
     rendered = [pair % re_im for re_im in map(tuple, pairs)]
     # one row per character: its opening lines, its pairs, each but the last
     # followed by ",\n", and its closing lines

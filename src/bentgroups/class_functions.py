@@ -30,7 +30,6 @@ __all__ = [
     "is_unimodular",
     "load_class_function",
     "save_class_function",
-    "to_coefficients",
 ]
 
 #: Maximum per-element deviation from its class mean allowed in pointwise
@@ -86,12 +85,6 @@ def from_coefficients(table: CharacterTable, coefficients: Sequence[complex]) ->
         basis="coefficients",
         sync_residual=0.0,
     )
-
-
-def to_coefficients(table: CharacterTable, values: Sequence[complex]) -> np.ndarray:
-    """Project pointwise values onto the character basis: the coefficients of
-    :func:`from_values`, whose checks they pass."""
-    return from_values(table, values).coefficients.copy()
 
 
 def from_values(table: CharacterTable, values: Sequence[complex]) -> ClassFunction:

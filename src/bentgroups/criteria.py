@@ -29,8 +29,6 @@ __all__ = [
     "cyclic_satisfied",
     "impossibility_certificate",
     "klein_criterion",
-    "klein_satisfied",
-    "outcome_to_json",
     "q8_equation_residuals",
     "solve_magnitude_system",
     "solve_q8_system",
@@ -256,11 +254,6 @@ def klein_criterion(a: Sequence[complex], tol: float = DEFAULT_TOL) -> Criterion
     return _finalize("klein-four-printed", checks, tol)
 
 
-def klein_satisfied(a: Sequence[complex], tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``klein_criterion(row, tol).satisfied`` for every row of a (B, 4) batch."""
-    return ~np.any(_klein_residuals(np.asarray(a, dtype=complex)) > tol, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # quaternion group
 
@@ -297,16 +290,3 @@ def q8_equation_residuals(m: Sequence[float]) -> tuple[float, ...]:
     if m.shape != (5,):
         raise ValueError(f"expected 5 squared magnitudes, got shape {m.shape}")
     return tuple(float(abs(v)) for v in _Q8_ROWS[:4] @ m)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def outcome_to_json(outcome: CriterionOutcome) -> dict:
-    return {
-        "name": outcome.name,
-        "satisfied": outcome.satisfied,
-        "violations": [[label, res] for label, res in outcome.violations],
-        "tol": outcome.tol,
-    }

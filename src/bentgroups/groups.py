@@ -31,7 +31,6 @@ __all__ = [
     "CATALOG",
     "Group",
     "MAX_ORDER",
-    "conjugacy_classes",
     "element_order",
     "group_from_json",
     "group_from_label",
@@ -291,9 +290,10 @@ def _make_abelian(factors: tuple[int, ...]) -> Group:
 
 
 def _kronecker_sum(factors: Sequence[int], grid: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """``table[x, y] = sum_f stride_f * g_f[x_f, y_f]`` over the row-major mixed-radix
-    digits of the factor sizes, where ``grid(m, k)`` is ``k * g_f`` for factor order m
-    and stride k: a Kronecker sum."""
+    """``table[x, y] = sum_f grid(m_f, k_f)[x_f, y_f]`` over the row-major mixed-radix
+    digits of the factor sizes m_f, k_f the stride of factor f: a Kronecker sum.
+    ``grid(m, k)`` returns the factor's m x m term, scaled by the stride k for
+    element indices and by e/m for exponents of the e-th roots of unity."""
     table = np.zeros((1, 1), dtype=np.int64)
     for m in reversed(factors):  # last first, so the broadcast's inner loop is long
         k = len(table)
@@ -398,12 +398,6 @@ def element_order(group: Group, x: int) -> int:
         cur = int(group.cayley[cur, x])
         k += 1
     return k
-
-
-def conjugacy_classes(group: Group) -> list[list[int]]:
-    """Conjugacy classes as sorted element lists, identity class first."""
-    members = np.argsort(group.class_of, kind="stable")
-    return [c.tolist() for c in np.split(members, np.cumsum(group.class_sizes)[:-1])]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import itertools
 import json
 import math
@@ -23,7 +25,6 @@ from bentgroups import (
     group_from_label,
     group_to_json,
     impossibility_certificate,
-    inner_product,
     is_bent,
     is_bent_spectral,
     make_abelian,
@@ -176,13 +177,6 @@ def test_abelian_phi_inverse():
         n = table.group.order
         prod = np.conj(table.phi.T) @ table.phi / n
         np.testing.assert_allclose(prod, np.eye(n), atol=1e-10)
-
-
-def test_inner_product_of_characters(s3_table):
-    for i in range(3):
-        for j in range(3):
-            ip = inner_product(s3_table, s3_table.phi[:, i], s3_table.phi[:, j])
-            assert abs(ip - (1.0 if i == j else 0.0)) < 1e-12
 
 
 def test_class_sum_route_matches_analytic_route():
@@ -510,7 +504,7 @@ def table_dict(table):
     }
 
 
-# Z2xZ2 and Z2xZ4 hold -0.0 next to 0.0, so a value-keyed dedup misprints them
+# the class-sum tables, and analytic tables of one to nine factors up to order 512
 JSON_LABELS = [
     "V4", "S3", "Q8", "D4", "Z1", "Z2", "Z2xZ2", "Z2xZ4", "Z12", "Z64", "Z509", "Z512",
     "Z2xZ4xZ64", "x".join(["Z2"] * 9), "Z8xZ8xZ8", "Z26xZ19",
@@ -539,18 +533,24 @@ def test_table_json_rejects_a_non_finite_value_as_the_json_encoder_does(s3_table
 
 
 @pytest.mark.parametrize("entry", [(2, 1), (5, 3), (7, 0)], ids=["off-row", "in-row", "first"])
-def test_abelian_table_json_rejects_a_non_finite_value_as_the_json_encoder_does(entry):
-    """The writer checks the table's own values, not the row it gathers from:
-    row 5 of Z2xZ4 is the character with exponents (1, 1)."""
-    table = character_table(group_from_label("Z2xZ4"))
-    values = table.class_values.copy()
-    values[entry] = complex(math.nan, 0.0)
-    table = replace(table, _class_values=values)
-    with pytest.raises(ValueError) as expected:
-        json.dumps(table_dict(table), indent=2, allow_nan=False)
-    with pytest.raises(ValueError) as raised:
+def test_abelian_table_json_rejects_a_non_finite_value_as_the_json_encoder_does(monkeypatch, entry):
+    """The writer renders the roots an analytic table gathers its values from,
+    so a NaN reaches it through ``_roots_of_unity``: here the root that this
+    entry of Z2xZ4 takes, roots 2, 3 and 0 of the 4th roots of unity."""
+    factors = (2, 4)
+    root = int(characters._exponents(factors)[entry])
+    exact = characters._roots_of_unity
+
+    def nan_root(m):
+        roots = exact(m)
+        roots[root] = complex(math.nan, 0.0)
+        return roots
+
+    monkeypatch.setattr(characters, "_roots_of_unity", nan_root)
+    table = character_table.__wrapped__(make_abelian(factors))
+    # a NaN roots[0] is a NaN degree
+    with pytest.raises(ValueError, match=r"non-integral degree|orthogonality validation \(nan\)"):
         table_to_json(table)
-    assert str(raised.value) == str(expected.value)
 
 
 def assert_json_values_gather_to_the_class_values(table) -> None:
@@ -572,20 +572,19 @@ def test_json_values_gather_to_the_class_values_at_large_orders(factors):
     assert_json_values_gather_to_the_class_values(character_table(make_abelian(factors)))
 
 
-def loop_exponent_index(factors: tuple[int, ...]) -> np.ndarray:
-    """The exponent index as one loop from the last factor outward: factor m's
-    exponent grid times the order k of the later factors, plus theirs."""
-    index = np.zeros((1, 1), dtype=np.intp)
-    for m in reversed(factors):
-        k = len(index)
-        digits = np.arange(m)
-        grid = np.multiply.outer(digits, digits) % m * k
-        index = (grid[:, None, :, None] + index[None, :, None, :]).reshape(m * k, m * k)
-    return index
+def loop_exponents(factors: tuple[int, ...]) -> np.ndarray:
+    """The root exponents E as one loop over the factors, from the row-major
+    digits of every element: factor m's products of digits mod m, times e/m,
+    summed mod e."""
+    e, n = math.lcm(*factors), math.prod(factors)
+    exponents = np.zeros((n, n), dtype=np.intp)
+    for m, digits in zip(factors, np.unravel_index(np.arange(n), factors)):
+        exponents += e // m * (np.multiply.outer(digits, digits) % m)
+    return exponents % e
 
 
 def assert_exponent_index_matches_the_loop(factors: tuple[int, ...]) -> None:
-    got, want = characters._exponent_index(factors), loop_exponent_index(factors)
+    got, want = characters._exponents(factors), loop_exponents(factors)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), factors
 
 
@@ -610,10 +609,28 @@ def test_table_csv_rendering(z3_table, s3_table):
     assert "-1" in csv_s3
 
 
+def test_abelian_csv_prints_no_negative_zero_up_to_order_64():
+    """Every analytic value is one of the roots ``_roots_of_unity`` lists, and
+    none of those has a -0.0 part, so no CSV cell reads -0.  The CSV itself is
+    read where products of the factors' roots 1, -1, i and -i leave -0.0."""
+    for factors in FACTORIZATIONS:
+        parts = character_table(make_abelian(factors)).class_values.view(float)
+        assert not np.signbit(parts[parts == 0.0]).any(), factors
+    for label in ("V4", "Z2xZ4", "Z4xZ4"):
+        text = table_to_csv(character_table(group_from_label(label)))
+        assert "-0" not in itertools.chain.from_iterable(csv.reader(io.StringIO(text))), label
+
+
 def test_z1_table():
     table = character_table(make_cyclic(1))
     assert table.n_irreps == 1
     assert complex(table.phi[0, 0]) == 1.0
+
+
+def analytic_values_and_bound(factors: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """The analytic table ``roots[E]`` and its orthogonality bound."""
+    roots = characters._roots_of_unity(math.lcm(*factors))
+    return roots[characters._exponents(factors)], characters._root_bound(roots, math.prod(factors))
 
 
 def gram_deviation(phi: np.ndarray) -> float:
@@ -625,13 +642,13 @@ def gram_deviation(phi: np.ndarray) -> float:
 
 def test_analytic_bound_covers_the_gram_deviation_up_to_order_64():
     for factors in FACTORIZATIONS:
-        phi, bound = characters._abelian_phi(factors)
+        phi, bound = analytic_values_and_bound(factors)
         assert gram_deviation(phi) <= bound <= 1e-12, factors
 
 
 @pytest.mark.parametrize("factors", LARGE_FACTORIZATIONS, ids=LARGE_IDS)
 def test_analytic_bound_covers_the_gram_deviation_at_order_512(factors):
-    phi, bound = characters._abelian_phi(factors)
+    phi, bound = analytic_values_and_bound(factors)
     assert gram_deviation(phi) <= bound <= 1e-11
 
 
@@ -649,7 +666,7 @@ def test_analytic_bound_holds_for_perturbed_roots(monkeypatch, factors):
         return exact(m) * (1.1 + 0.05 * noise)
 
     monkeypatch.setattr(characters, "_roots_of_unity", perturbed)
-    phi, bound = characters._abelian_phi(factors)
+    phi, bound = analytic_values_and_bound(factors)
     assert 0.1 < gram_deviation(phi) <= bound
 
 
@@ -718,8 +735,8 @@ def test_nan_class_sum_rows_fail_on_the_sorted_route(monkeypatch, column, messag
 
 
 def test_analytic_phi_is_the_gathered_class_values():
-    """The analytic route keeps ``_abelian_phi``'s matrix as ``phi``, and, as
-    phi is symmetric, as the class values too."""
+    """The analytic route keeps ``roots[E]`` as ``phi``, and, as E is
+    symmetric, as the class values too."""
     for factors in FACTORIZATIONS + [(512,)]:
         table = character_table(make_abelian(factors))
         assert table.class_values is table.phi, factors
@@ -742,45 +759,55 @@ def loop_roots_of_unity(m: int) -> np.ndarray:
     return roots
 
 
-def kron_phi(factors) -> tuple[np.ndarray, float]:
-    """The former ``_abelian_phi``: Kronecker products from a 1 x 1 ones matrix,
-    int64 index grids, and each factor's products as one m x m array."""
-    phi = np.ones((1, 1), dtype=complex)
-    growth = 1.0
-    for m in factors:
-        roots = loop_roots_of_unity(m)
-        index = np.arange(m)
-        block = roots[np.multiply.outer(index, index) % m]
-        phi = np.kron(phi, block)
-        products = np.multiply.outer(roots, np.conj(roots))
-        delta = np.max(np.abs(products - roots[np.subtract.outer(index, index)]))
-        sums = block.sum(axis=1)
-        sums[0] -= m
-        growth *= 1.0 + float(np.max(np.abs(sums))) / m + float(delta)
-    return phi, growth - 1.0 + characters._GRAM_ROUNDING_PER_ELEMENT * phi.shape[0]
-
-
-def assert_phi_matches_kron_reference(factors) -> None:
-    phi, bound = characters._abelian_phi(factors)
-    want_phi, want_bound = kron_phi(factors)
-    assert phi.dtype == want_phi.dtype and phi.shape == want_phi.shape, factors
-    assert phi.tobytes() == want_phi.tobytes(), factors
-    assert bound == want_bound, factors
-
-
 def test_roots_of_unity_match_the_loop_pairing():
     for m in range(1, 513):
         assert characters._roots_of_unity(m).tobytes() == loop_roots_of_unity(m).tobytes(), m
 
 
-def test_phi_and_bound_match_the_kron_reference_up_to_order_64():
+def loop_root_bound(roots: np.ndarray, n: int) -> float:
+    """``_root_bound`` with delta from one e x e product of every root with
+    every conjugate, and one average per divisor d of e in a loop."""
+    e = len(roots)
+    index = np.arange(e)
+    products = np.multiply.outer(roots, np.conj(roots))
+    delta = np.max(np.abs(products - roots[np.subtract.outer(index, index) % e]))
+    worst = 0.0
+    for d in range(1, e + 1):
+        if e % d == 0:
+            average = np.sum(roots[np.arange(d) * (e // d)]) / d
+            worst = max(worst, abs(average - (d == 1)))
+    return float(delta) + worst + characters._GRAM_ROUNDING_PER_ELEMENT * n
+
+
+def assert_phi_and_bound_match_the_loop_reference(factors) -> None:
+    table = character_table.__wrapped__(make_abelian(factors))
+    roots = loop_roots_of_unity(math.lcm(*factors))
+    want_phi = roots[loop_exponents(factors)]
+    assert table.phi.dtype == want_phi.dtype and table.phi.shape == want_phi.shape, factors
+    assert table.phi.tobytes() == want_phi.tobytes(), factors
+    n = math.prod(factors)
+    got, want = characters._root_bound(roots, n), loop_root_bound(roots, n)
+    assert math.isclose(got, want, rel_tol=1e-12), factors
+
+
+def test_phi_and_bound_match_the_loop_reference_up_to_order_64():
     for factors in FACTORIZATIONS:
-        assert_phi_matches_kron_reference(factors)
+        assert_phi_and_bound_match_the_loop_reference(factors)
+    # one root far off the circle puts the worst product in its own row, so a
+    # row the 64-row blocks skip shows.  The bounds are compared to 1e-12, as
+    # numpy's abs of a complex array can differ in the last bit from the abs
+    # of each scalar, which the loop takes
+    for e in (1, 2, 63, 64, 65, 127, 128, 130):
+        for k in range(e):
+            roots = loop_roots_of_unity(e)
+            roots[k] *= 10.0
+            got, want = characters._root_bound(roots, e), loop_root_bound(roots, e)
+            assert math.isclose(got, want, rel_tol=1e-12), (e, k)
 
 
 @pytest.mark.parametrize("factors", LARGE_FACTORIZATIONS, ids=LARGE_IDS)
-def test_phi_and_bound_match_the_kron_reference_at_order_512(factors):
-    assert_phi_matches_kron_reference(factors)
+def test_phi_and_bound_match_the_loop_reference_at_order_512(factors):
+    assert_phi_and_bound_match_the_loop_reference(factors)
 
 
 def test_perturbed_class_sum_table_fails_the_gram_check(monkeypatch):

@@ -514,16 +514,20 @@ def test_cold_abelian_commands_never_build_a_cayley_table(tmp_path):
 #: Runs construct, the checks of its file as coefficients and as pointwise
 #: values, and the check of a bent coefficient file on Z2xZ4xZ64, a product of
 #: Zadoff-Chu functions on its factors, in one fresh interpreter; prints the
-#: exit codes and the factor tuples whose character values got built, then
-#: reads one table's values to show the hook.
+#: exit codes, the factor tuples whose root exponents got built and the groups
+#: whose roots got checked.  Then prints the same after the JSON of Z512's
+#: table, and whether that built the table's values, and after reading one
+#: table's values, to show the hooks.
 _VALUE_FREE_RUN = """
 import contextlib, io, json, math, sys
 from pathlib import Path
 import numpy as np
 from bentgroups import characters, make_cyclic, zadoff_chu
 from bentgroups.cli import main
-built, build = [], characters._abelian_phi
-characters._abelian_phi = lambda factors: built.append(factors) or build(factors)
+built, build = [], characters._exponents
+characters._exponents = lambda factors: built.append(factors) or build(factors)
+checked, check = [], characters._checked_roots
+characters._checked_roots = lambda group: checked.append(group.name) or check(group)
 coefficients, pointwise, product = sys.argv[1:]
 a = np.ones(1)
 for m in (2, 4, 64):
@@ -535,9 +539,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     f = json.loads(Path(coefficients).read_text())
     Path(pointwise).write_text(json.dumps({"group": f["group"], "basis": "pointwise", "data": f["values"]}))
     codes += [main(["check", path]) for path in (coefficients, pointwise, product)]
-print(codes, built)
+print(codes, built, checked)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["chars", "Z512"])
+print(code, built, checked, characters.character_table(make_cyclic(512))._phi is None)
 characters.character_table(make_cyclic(469)).phi
-print(built)
+print(built, checked)
 """
 
 
@@ -548,7 +555,11 @@ def test_cold_fft_sized_commands_never_build_character_values(tmp_path):
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0, 0] []\n[(469,)]\n"
+    assert result.stdout == (
+        "[0, 0, 0, 0] [] []\n"
+        "0 [(512,)] ['Z512'] True\n"
+        "[(512,), (469,)] ['Z512', 'Z469']\n"
+    )
 
 
 #: (command, global flags); "{out}" is replaced by an output path and "{in}"

@@ -24,16 +24,15 @@ from bentgroups import (
     impossibility_certificate,
     is_bent,
     klein_criterion,
-    klein_satisfied,
     make_bent_cyclic,
     make_cyclic,
     make_named,
-    outcome_to_json,
     q8_equation_residuals,
     solve_magnitude_system,
     solve_q8_system,
 )
 
+from bentgroups import criteria
 from conftest import brute_lag_sums, flat_random_coefficients, relabelled
 
 BENT_V4 = np.array([1.0, -1j, -1j, -1.0]) / 2.0  # tensor square of (1, -i)/sqrt(2)
@@ -336,9 +335,11 @@ def test_klein_criterion_and_satisfied_match_scalar_arithmetic():
                 (label, np.float64(res).hex()) for label, res in violations
             ]
             assert outcome.satisfied == (not violations)
-        satisfied = klein_satisfied(a, tol)
+        # the batch residuals the ledger's Klein claim decides on
+        satisfied = ~np.any(criteria._klein_residuals(a) > tol, axis=-1)
         assert satisfied.tolist() == [klein_criterion(row, tol).satisfied for row in a]
-    assert klein_satisfied(a, 1e-8).any() and not klein_satisfied(a, 1e-8).all()
+    satisfied = ~np.any(criteria._klein_residuals(a) > 1e-8, axis=-1)
+    assert satisfied.any() and not satisfied.all()
 
 
 def test_klein_r2_r3_same_terms():
@@ -444,17 +445,4 @@ def test_s3_has_no_bent_function_among_character_sums(s3_table):
     for _ in range(50):
         a = flat_random_coefficients(rng, 3)
         assert is_bent(from_coefficients(s3_table, a)).verdict != BENT
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_outcome_json():
-    outcome = cyclic_criterion(np.ones(4) / 2.0)
-    obj = outcome_to_json(outcome)
-    assert obj["name"] == "cyclic-bent"
-    assert obj["satisfied"] is False
-    assert obj["violations"][0][0] == "lag-1 sum"
-    assert obj["tol"] == outcome.tol
 

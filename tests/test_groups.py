@@ -21,7 +21,6 @@ from bentgroups import (
     SequenceSpec,
     build_ledger,
     character_table,
-    conjugacy_classes,
     element_order,
     group_from_json,
     group_from_label,
@@ -88,14 +87,6 @@ def test_classes_are_conjugation_orbits():
         for t in range(g.order):
             conj = multiply(g, multiply(g, t, x), inverse(g, t))
             assert g.class_of[conj] == g.class_of[x]
-
-
-def test_conjugacy_classes_listing():
-    g = make_named("Q8")
-    classes = conjugacy_classes(g)
-    assert [len(c) for c in classes] == [1, 1, 2, 2, 2]
-    assert classes[0] == [g.identity]
-    assert sorted(x for c in classes for x in c) == list(range(8))
 
 
 def test_element_orders_q8():
