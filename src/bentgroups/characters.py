@@ -152,10 +152,12 @@ def _exponents(factors: Sequence[int]) -> np.ndarray:
     """``E[i, c] = sum_f (e / m_f) * ((i_f * c_f) mod m_f) mod e``, e the lcm of the
     factor orders m_f, over the row-major mixed-radix digits of character i and
     element c: the exponent of the e-th root of unity that character i takes at
-    element c.  E is symmetric."""
+    element c.  E is symmetric, and int16: e <= 512, and a sum of at most nine
+    terms below e stays below 2^15."""
     e = math.lcm(*factors)
-    exponents = _kronecker_sum(
-        factors, lambda m, k: np.multiply.outer(np.arange(m), np.arange(m)) % m * (e // m))
+    exponents = _kronecker_sum(factors, lambda m, k: (
+        np.multiply.outer(np.arange(m, dtype=np.int32), np.arange(m, dtype=np.int32)) % m
+        * (e // m)).astype(np.int16))
     if len(factors) > 1:  # one factor's exponents are below e already
         exponents %= e
     return exponents

@@ -154,6 +154,8 @@ def _from_pairs(data: object) -> np.ndarray:
         pairs = np.array(data)
     except ValueError as exc:  # ragged nesting
         raise ValueError(message) from exc
+    if pairs.shape == (0,):  # no pairs: a length error, which the caller reports
+        pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
         raise ValueError(message)
     # numpy reads a boolean among numbers as 0 or 1
@@ -180,12 +182,12 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
     """
     if not isinstance(obj, dict):
         raise ValueError(f"class-function JSON must be an object, got {type(obj).__name__}")
-    try:
-        label = str(obj["group"])
-        basis = str(obj["basis"])
-        data = obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed class-function JSON: {exc}") from exc
+    for key in ("group", "basis", "data"):
+        if key not in obj:
+            raise ValueError(f"malformed class-function JSON: missing key {key!r}")
+    label, basis, data = str(obj["group"]), str(obj["basis"]), obj["data"]
+    if basis not in ("coefficients", "pointwise"):
+        raise ValueError(f"unknown basis {basis!r}; expected 'coefficients' or 'pointwise'")
     if table is None:
         group = group_from_label(label)
     elif label != table.group.name and group_from_label(label).name != table.group.name:
@@ -195,8 +197,6 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
     else:
         group = table.group
     payload = _from_pairs(data)
-    if basis not in ("coefficients", "pointwise"):
-        raise ValueError(f"unknown basis {basis!r}; expected 'coefficients' or 'pointwise'")
     _check_length(group, payload, basis)
     if table is None:  # built last, so that a malformed file costs no table
         table = character_table(group)

@@ -35,8 +35,6 @@ from .characters import _JSON_PAIR, character_table, table_to_csv, table_to_json
 from .class_functions import class_function_to_json, load_class_function
 from .constructions import SequenceKind, SequenceSpec, make_bent_cyclic
 from .groups import group_from_label
-from .ledger import DEFAULT_BUDGET, build_ledger, ledger_to_json
-from .search import SearchConfig, Strategy, result_to_json, run_search
 
 __all__ = ["main"]
 
@@ -131,6 +129,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .search import SearchConfig, Strategy, result_to_json, run_search
+
     _require_json(args)
     config = SearchConfig(
         group=args.group,
@@ -145,6 +145,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
+    from .ledger import build_ledger, ledger_to_json
+
     _require_json(args)
     ledger = build_ledger(tol=args.tol, budget=args.budget, seed=args.seed)
     _emit(_dumps(ledger_to_json(ledger)), args.output)
@@ -190,7 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     The top-level parser holds the global flags' defaults; each command gets
     copies that set a flag only when it is given, so a flag after the
-    command wins over one before it.
+    command wins over one before it.  The search strategies and the ledger's
+    default budget are spelled out, so that building the parser loads neither
+    module; a test keeps them equal to ``Strategy`` and ``DEFAULT_BUDGET``.
     """
     parser = _Parser(
         prog="bentgroups",
@@ -230,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--budget", type=int, default=10_000)
     p_search.add_argument(
         "--strategy",
-        choices=[s.value for s in Strategy],
-        default=Strategy.RANDOM_PLUS_LOCAL.value,
+        choices=("random", "random+local"),
+        default="random+local",
     )
     p_search.set_defaults(func=_cmd_search)
 
@@ -241,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--budget",
         type=int,
-        default=DEFAULT_BUDGET,
+        default=2000,
         help="search budget for evidence entries (0 skips them)",
     )
     p_verify.set_defaults(func=_cmd_verify_paper)

@@ -293,8 +293,9 @@ def _kronecker_sum(factors: Sequence[int], grid: Callable[[int, int], np.ndarray
     """``table[x, y] = sum_f grid(m_f, k_f)[x_f, y_f]`` over the row-major mixed-radix
     digits of the factor sizes m_f, k_f the stride of factor f: a Kronecker sum.
     ``grid(m, k)`` returns the factor's m x m term, scaled by the stride k for
-    element indices and by e/m for exponents of the e-th roots of unity."""
-    table = np.zeros((1, 1), dtype=np.int64)
+    element indices and by e/m for exponents of the e-th roots of unity.  The
+    table takes the grids' integer dtype."""
+    table = np.zeros((1, 1), dtype=np.int8)
     for m in reversed(factors):  # last first, so the broadcast's inner loop is long
         k = len(table)
         table = (grid(m, k)[:, None, :, None] + table[None, :, None, :]).reshape(m * k, m * k)

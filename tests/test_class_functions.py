@@ -143,9 +143,13 @@ def test_json_round_trip_both_bases(z4_table):
 
 
 def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^malformed class-function JSON: missing key 'group'$"):
         class_function_from_json({"basis": "coefficients"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^malformed class-function JSON: missing key 'basis'$"):
+        class_function_from_json({"group": "Z2", "data": [[1, 0], [0, 0]]})
+    with pytest.raises(ValueError, match="^malformed class-function JSON: missing key 'data'$"):
+        class_function_from_json({"group": "Z2", "basis": "coefficients"})
+    with pytest.raises(ValueError, match="^unknown basis 'sideways'"):
         class_function_from_json(
             {"group": "Z2", "basis": "sideways", "data": [[1, 0], [0, 0]]}
         )
@@ -211,18 +215,21 @@ NAN = float("nan")
          "class-function data must be a list of [re, im] pairs of numbers"),
         ("Z251xZ2", "sideways", [[1.0, 0.0]] * 502,
          "unknown basis 'sideways'; expected 'coefficients' or 'pointwise'"),
+        ("Y4", "sideways", "junk", "unknown basis 'sideways'; expected 'coefficients' or 'pointwise'"),
         ("Z251xZ0", "pointwise", [[NAN, 0.0]], "cyclic factor sizes must be positive, got (251, 0)"),
         ("Z1024", "pointwise", [[NAN, 0.0]], "group order 1024 exceeds supported maximum 512"),
         ("Z509", "coefficients", [[0.5, 0.0]] * 3,
          "expected 509 coefficients for Z509, got shape (3,)"),
         ("S3", "pointwise", [[0.5, 0.0]] * 2, "expected 6 values for S3, got shape (2,)"),
+        ("Z2", "coefficients", [], "expected 2 coefficients for Z2, got shape (0,)"),
     ],
-    ids=["nan", "ragged", "int", "str", "bool", "basis", "label", "order", "length", "s3-length"],
+    ids=["nan", "ragged", "int", "str", "bool", "basis", "basis-first", "label", "order", "length",
+         "s3-length", "empty"],
 )
 def test_malformed_file_builds_no_character_table(label, basis, data, message):
-    """The label's error comes first, then the data's, the basis's and the
-    length's, each with its message as before; no character table is looked up
-    for any of them."""
+    """The basis's error comes first, then the label's, the data's and the
+    length's, which an empty list reaches; no character table is looked up for
+    any of them."""
     info = character_table.cache_info()
     with pytest.raises(ValueError) as raised:
         class_function_from_json({"group": label, "basis": basis, "data": data})

@@ -146,6 +146,24 @@ def test_check_malformed_data_exits_2(capsys, tmp_path, data):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"group": "Z2", "basis": "coefficients", "data": []},
+         "expected 2 coefficients for Z2, got shape (0,)"),
+        ({"group": "Z2", "data": [[1, 0], [0, 0]]}, "malformed class-function JSON: missing key 'basis'"),
+        ({"group": "Z2", "basis": "sideways", "data": "junk"},
+         "unknown basis 'sideways'; expected 'coefficients' or 'pointwise'"),
+    ],
+    ids=["empty-data", "missing-basis", "basis-before-data"],
+)
+def test_check_reports_the_first_fault_of_the_file(capsys, tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("payload", [[1, 2], "Z3", None])
 def test_check_non_object_json_exits_2(capsys, tmp_path, payload):
     path = tmp_path / "bad.json"
@@ -478,6 +496,89 @@ def test_cold_commands_leave_numpy_random_and_ma_unimported(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[0, 0, 0] []\n"
+
+
+#: Runs construct, check and chars (JSON and CSV) in one fresh interpreter,
+#: printing the exit codes and which of the lazily loaded modules has run;
+#: then the same after search and verify-paper.
+_LAZY_RUN = """
+import contextlib, io, sys, types
+import bentgroups.cli
+from bentgroups.cli import main
+def executed():
+    return [name for name in ("criteria", "ledger", "search")
+            if type(sys.modules[f"bentgroups.{name}"]) is types.ModuleType]
+path = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["construct", "zadoff-chu", "64", "5", "-o", path]), main(["check", path]),
+             main(["chars", "Z6"]), main(["chars", "Z6", "--format", "csv"])]
+print(codes, executed())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["search", "--group", "S3", "--budget", "50"]), main(["verify-paper", "--budget", "0"])]
+print(codes, executed())
+"""
+
+
+def test_cold_commands_run_no_criteria_ledger_or_search_code(tmp_path):
+    """``import bentgroups.cli`` registers the three modules in ``sys.modules``
+    unexecuted, and search and verify-paper load them when they run."""
+    result = subprocess.run(
+        [sys.executable, "-c", _LAZY_RUN, str(tmp_path / "z64.json")],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0, 0] []\n[0, 0] ['criteria', 'ledger', 'search']\n"
+
+
+#: The names ``from bentgroups import *`` bound while every submodule loaded on
+#: import, by the submodule that defines each.
+STAR_NAMES = {
+    "bentness": "BENT NOT_BENT NOT_UNIMODULAR BentReport derivative_sum derivative_sums is_bent "
+                "is_bent_spectral oracle_verdicts report_to_json spectrum",
+    "characters": "CharacterTable OrthogonalityReport character_table table_to_csv table_to_json "
+                  "verify_orthogonality",
+    "class_functions": "ClassFunction class_function_from_json class_function_to_json "
+                       "from_coefficients from_values is_unimodular load_class_function "
+                       "save_class_function",
+    "constructions": "CertifiedFunction SequenceKind SequenceSpec character_twist global_phase "
+                     "make_bent_cyclic quadratic_chirp translate zadoff_chu",
+    "criteria": "CriterionOutcome ImpossibilityCertificate abelian_magnitude_necessary "
+                "cyclic_criterion cyclic_lag_sums cyclic_satisfied impossibility_certificate "
+                "klein_criterion q8_equation_residuals solve_magnitude_system solve_q8_system",
+    "errors": "CapabilityError ConstructionError NumericDegeneracyError",
+    "groups": "CATALOG Group element_order group_from_json group_from_label group_to_json inverse "
+              "make_abelian make_cyclic make_named multiply",
+    "ledger": "LedgerEntry PaperLedger build_ledger ledger_to_json",
+    "search": "SearchConfig SearchResult Strategy objective result_to_json run_search",
+}
+
+
+def test_star_import_binds_each_submodules_own_objects():
+    namespace = {}
+    exec("from bentgroups import *", namespace)
+    del namespace["__builtins__"]
+    want = {}
+    for module, names in STAR_NAMES.items():
+        submodule = sys.modules[f"bentgroups.{module}"]
+        want[module] = submodule
+        want.update({name: getattr(submodule, name) for name in names.split()})
+    assert len(want) == 78
+    assert namespace.keys() == want.keys()
+    assert all(namespace[name] is obj for name, obj in want.items())
+
+
+def test_parser_literals_match_search_and_ledger():
+    """The parser spells out the strategies and the ledger's budget, so that
+    building it loads neither module."""
+    from bentgroups import Strategy, ledger
+
+    subcommands = next(
+        action for action in _build_parser()._actions if action.dest == "command"
+    ).choices
+    strategy = next(a for a in subcommands["search"]._actions if a.dest == "strategy")
+    assert list(strategy.choices) == [s.value for s in Strategy]
+    assert Strategy(strategy.default) is Strategy.RANDOM_PLUS_LOCAL
+    assert _build_parser().parse_args(["verify-paper"]).budget == ledger.DEFAULT_BUDGET
 
 
 #: Runs construct, check of its file as coefficients and as pointwise values,
