@@ -35,9 +35,6 @@ __all__ = [
 BENT = "BENT"
 NOT_BENT = "NOT_BENT"
 NOT_UNIMODULAR = "NOT_UNIMODULAR"
-#: Indexed by oracle_verdicts' codes.  Each label must be longer than the one
-#: before it: the verdict array takes the width of the largest code present.
-_VERDICTS = (BENT, NOT_BENT, NOT_UNIMODULAR)
 
 #: Checks on a function that went through the character transform and back
 #: run at no tolerance below n^2 times this.  The round trip moves a value by
@@ -176,12 +173,11 @@ def oracle_verdicts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both bentness oracles on a batch: row b of ``values`` is f_b in element order.
 
-    Returns each row's :func:`is_bent` verdict and its :func:`is_bent_spectral`
-    outcome.  The sums are batched matrix products, which may round
-    differently from the per-function calls in the last bits; the verdict
-    rules are theirs.  The verdicts are selected by array comparisons, with
-    :func:`_verdict`'s rule and NaN handling, into a string array as wide as
-    the longest verdict present, as ``np.array`` over the strings would be.
+    Returns boolean arrays ``(bent, flat)``: whether each row's :func:`is_bent`
+    verdict is BENT, and its :func:`is_bent_spectral` outcome.  The sums are
+    batched matrix products, which may round differently from the
+    per-function calls in the last bits; the rules are theirs.  A row with a
+    NaN value is neither bent nor flat.
     """
     group = table.group
     n = group.order
@@ -191,14 +187,11 @@ def oracle_verdicts(
     deviation = _row_max(np.abs(np.abs(v) - 1.0))
     sums = (v[:, group.cayley] @ np.conj(v)[:, :, None])[:, :, 0]
     residuals = np.abs(sums[:, np.arange(n) != group.identity])
-    max_residual = _row_max(residuals, initial=0.0)
-    # 0, 1, 2 for BENT, NOT_BENT, NOT_UNIMODULAR; NaN fails both comparisons
-    # as in _verdict
-    code = np.where(deviation > tol, 2, np.where(max_residual <= n * tol, 0, 1))
-    verdicts = np.array(_VERDICTS[: code.max(initial=0) + 1])[code]
+    unimodular = deviation <= tol
+    bent = unimodular & (_row_max(residuals, initial=0.0) <= n * tol)
     spectra = np.abs(v @ np.conj(table.phi)) ** 2 / np.square(table.degrees)
-    flat = (deviation <= tol) & (_row_max(np.abs(spectra - n)) <= n * tol)
-    return verdicts, flat
+    flat = unimodular & (_row_max(np.abs(spectra - n)) <= n * tol)
+    return bent, flat
 
 
 def report_to_json(report: BentReport) -> dict:

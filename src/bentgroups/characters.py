@@ -105,7 +105,7 @@ class CharacterTable:
         """Build and check the analytic values; threads that race here build
         equal read-only arrays."""
         # E is symmetric, so phi is its own transpose: the class values
-        values = _checked_roots(self.group)[_exponents(self.group.abelian_factors)]
+        values = np.take(_checked_roots(self.group), _exponents(self.group.abelian_factors))
         values.setflags(write=False)
         for name in ("_class_values", "_phi"):
             if getattr(self, name) is None:
@@ -531,8 +531,8 @@ def table_to_json(table: CharacterTable) -> str:
         f'    {{\n      "name": "chi_{i + 1}",\n      "degree": {degree},\n      "values": [\n'
         for i, degree in enumerate(table.degrees)
     ]
-    pieces[:, 1:-1] = np.array([pair + ",\n" for pair in rendered], dtype=object)[index]
-    pieces[:, -2] = np.array(rendered, dtype=object)[index[:, -1]]
+    pieces[:, 1:-1] = np.take(np.array([pair + ",\n" for pair in rendered], dtype=object), index)
+    pieces[:, -2] = np.take(np.array(rendered, dtype=object), index[:, -1])
     pieces[:, -1] = "\n      ]\n    },\n"
     pieces[-1, -1] = "\n      ]\n    }\n"
     header = json.dumps(

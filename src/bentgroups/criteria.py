@@ -227,6 +227,11 @@ _KLEIN_TERMS = np.array([
     [(0, 2), (1, 3), (2, 0), (3, 1)],
     [(0, 2), (2, 0), (1, 3), (3, 1)],
 ])
+#: The (i, j) of each term conj(a_i) a_j of the displayed Z3 sum and Z4 sums.
+_Z3_Z4_TERMS = {
+    3: np.array([[(0, 1), (1, 2), (2, 0)]]),
+    4: np.array([[(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 2), (1, 3), (2, 0), (3, 1)]]),
+}
 
 
 def _klein_residuals(a: np.ndarray) -> np.ndarray:

@@ -445,12 +445,9 @@ def group_from_json(obj: dict) -> Group:
     except ValueError:
         candidate = None
     if candidate is not None and np.array_equal(candidate.cayley, cayley):
-        if candidate.identity != identity:
-            raise ValueError(
-                f"declared identity {identity} does not match computed {candidate.identity}"
-            )
-        return candidate
-    group = _build_group(name, cayley)
+        group = candidate
+    else:
+        group = _build_group(name, cayley)
     if group.identity != identity:
         raise ValueError(
             f"declared identity {identity} does not match computed {group.identity}"

@@ -36,6 +36,7 @@ from .constructions import (
     translate,
 )
 from .criteria import (
+    _Z3_Z4_TERMS,
     _klein_residuals,
     _printed_sums,
     abelian_magnitude_necessary,
@@ -107,36 +108,17 @@ def _random_coefficients(rng: np.random.Generator, n: int, count: int) -> np.nda
     """``count`` candidate rows cycling through three styles: Gaussian,
     flat-magnitude random phase, and simplex magnitudes with random phase.
 
-    The draws are made per row, in row order, so the generator stream is that
-    of one call per vector, each row written with ``out=`` into its slot of a
-    preallocated array; only the complex transforms run once per style, on
-    the whole arrays, and they round exactly as they do per row.  A simplex
-    row is what ``rng.dirichlet(np.ones(n))`` returns: the same n standard
-    exponential draws, summed left to right and scaled by the reciprocal of
-    the sum, so the rows and the generator state match it bit for bit.
+    Each style is one array draw, interleaved into rows ``0::3``, ``1::3`` and
+    ``2::3``; the simplex rows add one draw for their phases.
     """
-    normal, uniform, exponential = rng.standard_normal, rng.random, rng.standard_exponential
-    gauss = np.empty(((count + 2) // 3, 2 * n))
-    flat = np.empty(((count + 1) // 3, n))
-    simplex = np.empty((count // 3, n))
-    simplex_phases = np.empty((count // 3, n))
-    for g, f, s, p in zip(gauss, flat, simplex, simplex_phases):
-        normal(out=g)
-        uniform(out=f)
-        exponential(out=s)
-        uniform(out=p)
-    if count % 3:
-        normal(out=gauss[-1])
-    if count % 3 == 2:
-        uniform(out=flat[-1])
+    gauss = rng.standard_normal(((count + 2) // 3, 2, n))
+    flat = rng.random(((count + 1) // 3, n))
+    simplex = rng.dirichlet(np.ones(n), size=count // 3)
+    simplex_phases = rng.random((count // 3, n))
     out = np.empty((count, n), dtype=complex)
-    out[0::3] = (gauss[:, :n] + 1j * gauss[:, n:]) / math.sqrt(2 * n)
+    out[0::3] = (gauss[:, 0] + 1j * gauss[:, 1]) / math.sqrt(2 * n)
     out[1::3] = np.exp(2j * np.pi * flat) / math.sqrt(n)
-    total = simplex[:, 0].copy()
-    for column in simplex.T[1:]:
-        total += column
-    magnitudes = simplex * (1.0 / total)[:, None]
-    out[2::3] = np.sqrt(magnitudes) * np.exp(2j * np.pi * simplex_phases)
+    out[2::3] = np.sqrt(simplex) * np.exp(2j * np.pi * simplex_phases)
     return out
 
 
@@ -197,8 +179,8 @@ def _claim_bent_iff(tol: float, seed: int) -> LedgerEntry:
         table = character_table(make_cyclic(n))
         bent = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function
         values = np.vstack((np.exp(2j * np.pi * rng.random((120, n))), bent.values))
-        verdicts, spectral = oracle_verdicts(table, values, _rounding_tol(tol, n))
-        disagreements += int(np.sum((verdicts == BENT) != spectral))
+        by_sums, by_spectrum = oracle_verdicts(table, values, _rounding_tol(tol, n))
+        disagreements += int(np.sum(by_sums != by_spectrum))
         checked += len(values)
     return LedgerEntry(
         claim="bent-iff-derivative-sums",
@@ -265,23 +247,11 @@ def _claim_z2_counterexample(tol: float) -> LedgerEntry:
     )
 
 
-#: The (i, j) of each term conj(a_i) a_j of the displayed Z3 sum and Z4 sums.
-_Z3_Z4_TERMS = {
-    3: np.array([[(0, 1), (1, 2), (2, 0)]]),
-    4: np.array([[(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 2), (1, 3), (2, 0), (3, 1)]]),
-}
-
-
-def _printed_z3_z4_sums(a: np.ndarray) -> np.ndarray:
-    """The displayed Z3 sum (one column) or Z4 sums (two) for each row of ``a``."""
-    return _printed_sums(a, _Z3_Z4_TERMS[a.shape[1]])
-
-
 def _criterion_vs_oracle(table: CharacterTable, a: np.ndarray, tol: float) -> int:
     """Rows of a coefficient batch on which the Z_n criterion and the oracle disagree."""
     tol = _rounding_tol(tol, table.group.order)
-    verdicts, _ = oracle_verdicts(table, a @ table.phi.T, tol)
-    return int(np.sum(cyclic_satisfied(a, tol) != (verdicts == BENT)))
+    bent, _ = oracle_verdicts(table, a @ table.phi.T, tol)
+    return int(np.sum(cyclic_satisfied(a, tol) != bent))
 
 
 def _claim_z3_z4(tol: float, seed: int) -> LedgerEntry:
@@ -294,7 +264,7 @@ def _claim_z3_z4(tol: float, seed: int) -> LedgerEntry:
             _random_coefficients(rng, n, 200),
             make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function.coefficients,
         ))
-        printed = _printed_z3_z4_sums(a)
+        printed = _printed_sums(a, _Z3_Z4_TERMS[n])
         lags = cyclic_lag_sums(a)[:, : printed.shape[1]]
         worst = max(worst, float(np.max(np.abs(printed - lags))))
         disagreements += _criterion_vs_oracle(table, a, tol)

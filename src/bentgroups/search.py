@@ -21,7 +21,7 @@ import numpy as np
 
 from .bentness import BENT, BentReport, _row_max, is_bent, report_to_json
 from .characters import CharacterTable, character_table
-from .class_functions import _pairs, from_coefficients
+from .class_functions import _check_length, _pairs, from_coefficients
 from .constructions import quadratic_chirp, zadoff_chu
 from .groups import group_from_label
 
@@ -89,11 +89,7 @@ def objective(table: CharacterTable, a: Sequence[complex]) -> float:
     scores 1.
     """
     a = np.asarray(a, dtype=complex)
-    if a.shape != (table.n_irreps,):
-        raise ValueError(
-            f"expected {table.n_irreps} coefficients for {table.group.name}, "
-            f"got shape {a.shape}"
-        )
+    _check_length(table.group, a, "coefficients")
     return _probe_objective(table, _shifts(table), a)
 
 

@@ -334,6 +334,23 @@ def test_group_from_json_rejects_bad_table():
     assert np.array_equal(g.cayley, (np.arange(3)[:, None] + np.arange(3)) % 3)
 
 
+@pytest.mark.parametrize("relabel", [False, True], ids=["label-table", "relabelled-table"])
+def test_group_from_json_rejects_a_wrong_declared_identity(relabel):
+    """The identity is checked alike on the label's own table, which resolves
+    to the label's group, and on a relabelled table, which is built anew."""
+    g = make_named("S3")
+    perm = np.arange(g.order)[::-1] if relabel else np.arange(g.order)
+    cayley = np.empty_like(g.cayley)
+    cayley[np.ix_(perm, perm)] = perm[g.cayley]
+    computed, declared = int(perm[g.identity]), int(perm[1])
+    obj = {"name": "S3", "order": g.order, "cayley": cayley.tolist(), "identity": declared}
+    with pytest.raises(ValueError) as info:
+        group_from_json(obj)
+    assert str(info.value) == f"declared identity {declared} does not match computed {computed}"
+    obj["identity"] = computed
+    assert (group_from_json(obj) is g) != relabel
+
+
 def test_label_errors():
     with pytest.raises(ValueError):
         group_from_label("Z0")

@@ -32,6 +32,7 @@ from bentgroups import (
     make_named,
     oracle_verdicts,
 )
+from bentgroups.criteria import _Z3_Z4_TERMS, _printed_sums
 
 EXPECTED_CLAIMS = [
     "character-tables",
@@ -203,19 +204,6 @@ def zadoff_chu(n: int, u: int):
     return make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function
 
 
-def random_coefficients(rng: np.random.Generator, n: int, kind: int) -> np.ndarray:
-    """One vector per call: the loop reference for ``ledger._random_coefficients``.
-
-    Mixed candidate styles: Gaussian, flat-magnitude random phase, simplex.
-    """
-    if kind == 0:
-        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2 * n)
-    if kind == 1:
-        return np.exp(2j * np.pi * rng.random(n)) / math.sqrt(n)
-    mags = rng.dirichlet(np.ones(n))
-    return np.sqrt(mags) * np.exp(2j * np.pi * rng.random(n))
-
-
 def scalar_printed_sums(a: np.ndarray) -> list[complex]:
     """The displayed Z3/Z4 sums of one vector, in numpy scalar arithmetic."""
     if len(a) == 3:
@@ -253,7 +241,7 @@ def loop_z3_z4(tol: float, seed: int) -> tuple[float, int]:
     rng = ledger_module._rng(seed, 2)
     worst, disagreements = 0.0, 0
     for n in (3, 4):
-        vectors = [random_coefficients(rng, n, k % 3) for k in range(200)]
+        vectors = list(ledger_module._random_coefficients(rng, n, 200))
         vectors.append(zadoff_chu(n, 1).coefficients)
         for a in vectors:
             printed = np.asarray(scalar_printed_sums(a))
@@ -266,7 +254,7 @@ def loop_cyclic_general(tol: float, seed: int) -> tuple[int, int]:
     rng = ledger_module._rng(seed, 3)
     disagreements = checked = 0
     for n in range(2, 13):
-        vectors = [random_coefficients(rng, n, k % 3) for k in range(150)]
+        vectors = list(ledger_module._random_coefficients(rng, n, 150))
         vectors += [zadoff_chu(n, u).coefficients for u in range(1, n + 1) if math.gcd(u, n) == 1]
         disagreements += loop_criterion_vs_oracle(n, vectors, tol)
         checked += len(vectors)
@@ -274,22 +262,21 @@ def loop_cyclic_general(tol: float, seed: int) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("n", range(2, 17))
-def test_batched_sampler_matches_per_vector_draws(n):
-    for count in (1, 2, 3, 7, 150, 200):
-        rng, reference_rng = np.random.default_rng([n, count]), np.random.default_rng([n, count])
-        batch = ledger_module._random_coefficients(rng, n, count)
-        loop = np.array([random_coefficients(reference_rng, n, k % 3) for k in range(count)])
-        assert batch.shape == (count, n)
-        assert batch.tobytes() == loop.tobytes()
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
+def test_sampler_rows_have_their_style_and_repeat_per_seed(n):
+    for count in (*range(8), 150, 200):
+        a = ledger_module._random_coefficients(np.random.default_rng([n, count]), n, count)
+        assert a.shape == (count, n)
+        np.testing.assert_allclose(np.abs(a[1::3]), 1 / math.sqrt(n), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.sum(np.abs(a[2::3]) ** 2, axis=1), 1.0, rtol=0, atol=1e-15)
+        again = ledger_module._random_coefficients(np.random.default_rng([n, count]), n, count)
+        assert a.tobytes() == again.tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_batched_printed_sums_bit_identical_to_scalar_form(n):
-    rng = np.random.default_rng(n)
-    a = np.array([random_coefficients(rng, n, k % 3) for k in range(300)])
+    a = ledger_module._random_coefficients(np.random.default_rng(n), n, 300)
     scalar = np.array([scalar_printed_sums(row) for row in a])
-    assert ledger_module._printed_z3_z4_sums(a).tobytes() == scalar.tobytes()
+    assert _printed_sums(a, _Z3_Z4_TERMS[n]).tobytes() == scalar.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -380,8 +367,8 @@ def test_klein_claim_below_the_rounding_floor_decides_as_is_bent():
     claim; it keeps is_bent's verdict."""
     chain = klein_chain(214)
     table = chain[0].table
-    verdicts, _ = oracle_verdicts(table, np.array([f.values for f in chain]), 1e-15)
-    assert set(verdicts.tolist()) == {BENT}
+    bent, _ = oracle_verdicts(table, np.array([f.values for f in chain]), 1e-15)
+    assert bent.all()
     assert loop_klein(1e-15, 214) == math.inf
     assert ledger_module._claim_klein_remark(1e-15, 214).metric == math.inf
 

@@ -80,9 +80,13 @@ def test_objective_zero_exactly_on_bent(z4_table):
         assert (obj < 1e-8) == (verdict == BENT)
 
 
-def test_objective_shape_error(z3_table):
-    with pytest.raises(ValueError):
+def test_objective_shape_error(z3_table, s3_table):
+    with pytest.raises(ValueError) as info:
         objective(z3_table, np.ones(4))
+    assert str(info.value) == "expected 3 coefficients for Z3, got shape (4,)"
+    with pytest.raises(ValueError) as info:
+        objective(s3_table, np.ones((1, 3)))
+    assert str(info.value) == "expected 3 coefficients for S3, got shape (1, 3)"
 
 
 def test_search_is_deterministic():
