@@ -14,62 +14,13 @@ importable from ``bentgroups``.
 import importlib.util as _util
 import sys as _sys
 
-from .bentness import (
-    BENT,
-    NOT_BENT,
-    NOT_UNIMODULAR,
-    BentReport,
-    derivative_sum,
-    derivative_sums,
-    is_bent,
-    is_bent_spectral,
-    oracle_verdicts,
-    report_to_json,
-    spectrum,
-)
-from .characters import (
-    CharacterTable,
-    OrthogonalityReport,
-    character_table,
-    table_to_csv,
-    table_to_json,
-    verify_orthogonality,
-)
-from .class_functions import (
-    ClassFunction,
-    class_function_from_json,
-    class_function_to_json,
-    from_coefficients,
-    from_values,
-    is_unimodular,
-    load_class_function,
-    save_class_function,
-)
-from .constructions import (
-    CertifiedFunction,
-    SequenceKind,
-    SequenceSpec,
-    character_twist,
-    global_phase,
-    make_bent_cyclic,
-    quadratic_chirp,
-    translate,
-    zadoff_chu,
-)
-from .errors import CapabilityError, ConstructionError, NumericDegeneracyError
-from .groups import (
-    CATALOG,
-    Group,
-    element_order,
-    group_from_json,
-    group_from_label,
-    group_to_json,
-    inverse,
-    make_abelian,
-    make_cyclic,
-    make_named,
-    multiply,
-)
+# each eager submodule's ``__all__`` is the one list of what it exports here
+from .bentness import *
+from .characters import *
+from .class_functions import *
+from .constructions import *
+from .errors import *
+from .groups import *
 
 #: Modules that run on first attribute access, since ``chars``, ``check`` and
 #: ``construct`` call none of them, and the names re-exported from each.  They

@@ -113,9 +113,10 @@ def abelian_magnitude_necessary(
     if a.ndim != 1 or len(a) < 1:
         raise ValueError(f"expected a nonempty coefficient vector, got shape {a.shape}")
     n = len(a)
-    checks = [
-        (f"|a_{i + 1}|^2", abs(abs(a[i]) ** 2 - 1.0 / n)) for i in range(n)
-    ]
+    # in array form, as the ledger computes it: numpy's scalar abs can round an
+    # |a_i| one ulp apart from its array abs (a Z13 Zadoff-Chu coefficient does)
+    residuals = np.abs(np.abs(a) ** 2 - 1.0 / n)
+    checks = [(f"|a_{i + 1}|^2", res) for i, res in enumerate(residuals)]
     return _finalize("abelian-magnitude-necessary", checks, tol)
 
 

@@ -44,6 +44,10 @@ __all__ = [
 
 MAX_ORDER = 512
 
+#: Most cyclic factors of an abelian group: each factor is an array axis, and
+#: numpy 1.x arrays have at most 32 (numpy 2, 64).
+_MAX_FACTORS = 32
+
 #: Bound on each constructor's memo; built groups are read-only and shared.
 _CACHE_SIZE = 128
 
@@ -266,6 +270,10 @@ def _make_abelian(factors: tuple[int, ...]) -> Group:
         raise ValueError("at least one cyclic factor is required")
     if any(m < 1 for m in factors):
         raise ValueError(f"cyclic factor sizes must be positive, got {factors}")
+    if len(factors) > _MAX_FACTORS:
+        raise ValueError(
+            f"at most {_MAX_FACTORS} cyclic factors are supported, got {len(factors)}"
+        )
     n = math.prod(factors)
     if n > MAX_ORDER:
         raise CapabilityError(f"group order {n} exceeds supported maximum {MAX_ORDER}")

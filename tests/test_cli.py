@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bentgroups
 from bentgroups import (
     SearchConfig,
     SequenceKind,
@@ -93,6 +94,14 @@ def test_chars_unknown_group(capsys):
     code, _, err = run_cli(capsys, "chars", "E8")
     assert code == 2
     assert "error:" in err
+
+
+def test_chars_refuses_more_than_32_factors(capsys):
+    """Each factor is an array axis, and numpy 1.x arrays have at most 32."""
+    code, out, _ = run_cli(capsys, "chars", "x".join(["Z2"] + ["Z1"] * 30 + ["Z2"]))
+    assert code == 0 and json.loads(out)["order"] == 4
+    code, out, err = run_cli(capsys, "chars", "x".join(["Z2"] + ["Z1"] * 31 + ["Z2"]))
+    assert (code, out, err) == (2, "", "error: at most 32 cyclic factors are supported, got 33\n")
 
 
 def test_check_bent_file(capsys, tmp_path):
@@ -546,8 +555,8 @@ STAR_NAMES = {
                 "cyclic_criterion cyclic_lag_sums cyclic_satisfied impossibility_certificate "
                 "klein_criterion q8_equation_residuals solve_magnitude_system solve_q8_system",
     "errors": "CapabilityError ConstructionError NumericDegeneracyError",
-    "groups": "CATALOG Group element_order group_from_json group_from_label group_to_json inverse "
-              "make_abelian make_cyclic make_named multiply",
+    "groups": "CATALOG Group MAX_ORDER element_order group_from_json group_from_label "
+              "group_to_json inverse make_abelian make_cyclic make_named multiply",
     "ledger": "LedgerEntry PaperLedger build_ledger ledger_to_json",
     "search": "SearchConfig SearchResult Strategy objective result_to_json run_search",
 }
@@ -562,9 +571,43 @@ def test_star_import_binds_each_submodules_own_objects():
         submodule = sys.modules[f"bentgroups.{module}"]
         want[module] = submodule
         want.update({name: getattr(submodule, name) for name in names.split()})
-    assert len(want) == 78
+    assert len(want) == 79
     assert namespace.keys() == want.keys()
     assert all(namespace[name] is obj for name, obj in want.items())
+
+
+def test_no_name_is_exported_by_two_submodules():
+    """A second star import of one name would silently rebind it."""
+    exported = [name for module in STAR_NAMES
+                for name in sys.modules[f"bentgroups.{module}"].__all__]
+    assert len(exported) == len(set(exported))
+
+
+@pytest.mark.parametrize(
+    "module", ["bentness", "characters", "class_functions", "constructions", "errors", "groups"]
+)
+def test_package_binds_each_eager_submodules_all_to_its_own_objects(module):
+    submodule = sys.modules[f"bentgroups.{module}"]
+    assert all(getattr(bentgroups, name) is getattr(submodule, name)
+               for name in submodule.__all__)
+
+
+@pytest.mark.parametrize("module", ["criteria", "ledger", "search"])
+def test_lazy_name_lists_match_each_submodules_all(module):
+    assert set(bentgroups._LAZY[module]) == set(sys.modules[f"bentgroups.{module}"].__all__)
+
+
+@pytest.mark.parametrize("argv", [[], ["search"], ["construct"], ["verify-paper"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 0
+    assert out.startswith("usage: bentgroups") and err == ""
+    if argv == ["search"]:
+        assert "{random,random+local}" in out
+    if argv == ["construct"]:
+        assert "{zadoff-chu,chirp}" in out
 
 
 def test_parser_literals_match_search_and_ledger():

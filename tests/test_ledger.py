@@ -16,6 +16,7 @@ from bentgroups import (
     NOT_BENT,
     SequenceKind,
     SequenceSpec,
+    abelian_magnitude_necessary,
     build_ledger,
     character_table,
     cyclic_criterion,
@@ -148,6 +149,28 @@ def test_impossibility_certificate_needs_a_violation_beyond_the_residual(monkeyp
     monkeypatch.setattr(ledger_module, "impossibility_certificate", weakened)
     entry = ledger_module._claim_impossibility_certificate(1e-8)
     assert entry.status == "FAIL" and entry.metric == math.inf
+
+
+def test_abelian_necessary_claim_agrees_with_its_criterion_below_rounding():
+    """At tol 1e-30 the claim fails on its rounding-sized deviations, but the
+    criterion decides every witness as the claim's own deviation does."""
+    entry = ledger_module._claim_abelian_necessary(1e-30)
+    assert entry.status == "FAIL" and 0.0 < entry.metric < 1e-15
+
+
+@pytest.mark.parametrize("tol, forced_tol", [(1e-8, -1.0), (1e-30, math.inf)])
+def test_abelian_necessary_claim_fails_when_the_criterion_disagrees(monkeypatch, tol, forced_tol):
+    """A criterion that reports every witness violated at a tolerance they all
+    meet, or every one satisfied at one some of them miss, fails the claim."""
+    monkeypatch.setattr(
+        ledger_module, "abelian_magnitude_necessary",
+        lambda a, tol: abelian_magnitude_necessary(a, forced_tol),
+    )
+    result = build_ledger(tol=tol, budget=0)
+    entry = {e.claim: e for e in result.entries}["abelian-necessary-magnitudes"]
+    assert entry.status == "FAIL" and entry.metric == math.inf
+    payload = {e["claim"]: e for e in ledger_to_json(result)["entries"]}
+    assert payload["abelian-necessary-magnitudes"]["metric"] is None
 
 
 @pytest.mark.parametrize("tol", [1e-15, 1e-17, 1e-30])
