@@ -25,7 +25,7 @@ from .bentness import (
     is_bent,
     oracle_verdicts,
 )
-from .characters import _REFERENCE_TABLES, CharacterTable, character_table
+from .characters import _REFERENCE_TABLES, CharacterTable, _class_sum_rows, character_table
 from .class_functions import from_coefficients
 from .constructions import (
     SequenceKind,
@@ -93,6 +93,11 @@ def _gate(metric: float, tol: float) -> str:
     return PASS if metric <= tol else FAIL
 
 
+def _worst(*metrics: float) -> float:
+    """The largest metric, NaN if any is NaN (``max`` keeps a number before a NaN)."""
+    return float(np.max(metrics))
+
+
 def _floor_note(tol: float, n_max: int) -> str:
     """Detail suffix that names the rounding floor when it raised ``tol``."""
     if _rounding_tol(tol, n_max) == tol:
@@ -133,10 +138,15 @@ def _claim_character_tables(tol: float) -> LedgerEntry:
         k = np.arange(n)
         for i in range(n):
             row = np.exp(2j * np.pi * ((i * k) % n) / n)
-            worst = max(worst, float(np.max(np.abs(table.phi[:, i] - row))))
+            worst = _worst(worst, np.max(np.abs(table.phi[:, i] - row)))
     for name in ("S3", "Q8"):
-        emitted = character_table(make_named(name)).class_values
-        worst = max(worst, float(np.max(np.abs(emitted - _REFERENCE_TABLES[name]))))
+        # each exact row against its nearest class-sum row; no two may share one
+        rows = _class_sum_rows(make_named(name))
+        dist = np.max(np.abs(np.round(_REFERENCE_TABLES[name])[:, None] - rows), axis=2)
+        nearest = np.argmin(dist, axis=1)
+        worst = _worst(worst, np.max(dist[np.arange(len(rows)), nearest]))
+        if len(set(nearest.tolist())) < len(rows):
+            worst = math.inf
     return LedgerEntry(
         claim="character-tables",
         statement=(
@@ -154,11 +164,9 @@ def _claim_derivative_definition(tol: float) -> LedgerEntry:
     chi2 = from_coefficients(table, [0.0, 1.0, 0.0])
     omega = complex(table.phi[1, 1])
     report = is_bent(chi2, tol)
-    worst = abs(derivative_sum(chi2, 1) - 3.0 * omega)
-    worst = max(worst, abs(derivative_sum(chi2, 0) - 3.0))
     bent5 = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 5, 2)).function
-    worst = max(worst, abs(derivative_sum(bent5, 0) - 5.0))
-    worst = max(worst, abs(report.max_residual - 3.0))
+    worst = _worst(abs(derivative_sum(chi2, 1) - 3.0 * omega), abs(derivative_sum(chi2, 0) - 3.0),
+                   abs(derivative_sum(bent5, 0) - 5.0), abs(report.max_residual - 3.0))
     return LedgerEntry(
         claim="derivative-sum-definition",
         statement=(
@@ -202,12 +210,12 @@ def _claim_abelian_necessary(tol: float) -> LedgerEntry:
     for n in range(2, 17):
         bent = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function
         deviation = float(np.max(np.abs(np.abs(bent.coefficients) ** 2 - 1.0 / n)))
-        worst = max(worst, deviation)
+        worst = _worst(worst, deviation)
         # the criterion must decide the witness as its own deviation does
         if abelian_magnitude_necessary(bent.coefficients, tol).satisfied != (deviation <= tol):
             worst = math.inf
         w, residual = solve_magnitude_system(bent.table)
-        worst = max(worst, residual, float(np.max(np.abs(w - 1.0 / n))))
+        worst = _worst(worst, residual, np.max(np.abs(w - 1.0 / n)))
     return LedgerEntry(
         claim="abelian-necessary-magnitudes",
         statement=(
@@ -225,7 +233,7 @@ def _claim_z2_counterexample(tol: float) -> LedgerEntry:
     f = from_coefficients(table, np.array([1.0, 1.0]) / math.sqrt(2.0))
     report = is_bent(f, tol)
     # values are (sqrt(2), 0), so the max deviation from the unit circle is 1
-    worst = max(
+    worst = _worst(
         abs(abs(complex(f.values[0])) - math.sqrt(2.0)),
         abs(complex(f.values[1])),
         abs(report.unimodular_deviation - 1.0),
@@ -264,7 +272,7 @@ def _claim_z3_z4(tol: float, seed: int) -> LedgerEntry:
         ))
         printed = _printed_sums(a, _Z3_Z4_TERMS[n])
         lags = cyclic_lag_sums(a)[:, : printed.shape[1]]
-        worst = max(worst, float(np.max(np.abs(printed - lags))))
+        worst = _worst(worst, np.max(np.abs(printed - lags)))
         disagreements += _criterion_vs_oracle(table, a, tol)
     metric = worst + disagreements
     return LedgerEntry(
@@ -338,7 +346,7 @@ def _claim_klein_remark(tol: float, seed: int) -> LedgerEntry:
         worst = math.inf
     else:
         r = _klein_residuals(np.array([f.coefficients for f in chain]))
-        worst = float(np.max(r, where=r > tol, initial=0.0))
+        worst = float(np.max(r, where=~(r <= tol), initial=0.0))
     probe = np.array([1.0, 1j, 1j, 1.0]) / 2.0
     probe_passes = klein_criterion(probe, tol).satisfied
     probe_verdict = is_bent(from_coefficients(table, probe), tol).verdict
@@ -365,7 +373,7 @@ def _claim_impossibility_certificate(tol: float) -> LedgerEntry:
     findings = []
     for name in ("S3", "Q8", "D4"):
         cert = impossibility_certificate(character_table(make_named(name)))
-        worst = max(worst, cert.residual)
+        worst = _worst(worst, cert.residual)
         if not cert.violated or cert.margin <= cert.residual:
             worst = math.inf
         findings.extend(
@@ -393,7 +401,7 @@ def _claim_q8_system(tol: float) -> LedgerEntry:
     m, residual = solve_q8_system()
     targets = np.array([2.0, 2.0, 2.0, 2.0, 1.0]) / 9.0
     worst = float(np.max(np.abs(m - targets)))
-    worst = max(worst, residual, max(q8_equation_residuals(m)))
+    worst = _worst(worst, residual, *q8_equation_residuals(m))
     return LedgerEntry(
         claim="q8-printed-magnitude-system",
         statement=(

@@ -151,6 +151,86 @@ def test_impossibility_certificate_needs_a_violation_beyond_the_residual(monkeyp
     assert entry.status == "FAIL" and entry.metric == math.inf
 
 
+def character_tables_entry(monkeypatch, change) -> tuple:
+    """The character-tables entry, and its JSON metric, of a budget-0 ledger whose
+    class-sum route gives S3 its rows after ``change(rows)``."""
+    route = ledger_module._class_sum_rows
+
+    def rows(group):
+        out = route(group)
+        if group.name == "S3":
+            change(out)
+        return out
+
+    monkeypatch.setattr(ledger_module, "_class_sum_rows", rows)
+    result = build_ledger(budget=0)
+    payload = {e["claim"]: e for e in ledger_to_json(result)["entries"]}
+    return result.entries[0], payload["character-tables"]["metric"]
+
+
+def degree_two(rows: np.ndarray) -> int:
+    return int(np.argmax(rows[:, 0].real))
+
+
+def test_a_moved_class_sum_row_fails_the_character_tables_claim(monkeypatch):
+    def move(rows):
+        rows[degree_two(rows), 2] += 1e-6
+
+    entry, metric = character_tables_entry(monkeypatch, move)
+    assert entry.status == "FAIL" and metric == entry.metric
+    assert math.isclose(entry.metric, 1e-6, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_a_nan_class_sum_row_fails_the_character_tables_claim(monkeypatch, column):
+    def nan(rows):
+        rows[degree_two(rows), column] = complex(math.nan, 0.0)
+
+    entry, metric = character_tables_entry(monkeypatch, nan)
+    assert entry.status == "FAIL" and not math.isfinite(entry.metric) and metric is None
+
+
+def test_a_duplicated_class_sum_row_fails_the_character_tables_claim(monkeypatch):
+    """Every exact row is then near some route row, but two share one."""
+    def duplicate(rows):
+        rows[1] = rows[0]
+
+    entry, metric = character_tables_entry(monkeypatch, duplicate)
+    assert (entry.status, entry.metric, metric) == ("FAIL", math.inf, None)
+
+
+def test_worst_propagates_nan():
+    assert ledger_module._worst(1.0, 2.0, 0.5) == 2.0
+    assert ledger_module._worst(math.inf, 1.0) == math.inf
+    for metrics in ((0.0, math.nan), (math.nan, 0.0), (0.0, np.float64(math.nan), 1.0)):
+        assert math.isnan(ledger_module._worst(*metrics)), metrics
+    assert ledger_module._gate(ledger_module._worst(0.0, math.nan), 1e-8) == "FAIL"
+
+
+def nan_at(values: np.ndarray, index) -> np.ndarray:
+    values[index] = math.nan
+    return values
+
+
+@pytest.mark.parametrize("claim, name, patched", [
+    ("q8-printed-magnitude-system", "solve_q8_system",
+     lambda real: lambda: (real()[0], math.nan)),
+    ("impossibility-certificate", "impossibility_certificate",
+     lambda real: lambda table: replace(real(table), residual=math.nan)),
+    ("klein-printed-conditions", "_klein_residuals",
+     lambda real: lambda a: nan_at(real(a), (17, 4))),
+], ids=["q8-system", "impossibility-certificate", "klein"])
+def test_a_nan_check_fails_its_claim(monkeypatch, claim, name, patched):
+    """A check that yields NaN after a number fails, where ``max`` dropped it."""
+    monkeypatch.setattr(ledger_module, name, patched(getattr(ledger_module, name)))
+    result = build_ledger(budget=0)
+    entry = {e.claim: e for e in result.entries}[claim]
+    assert entry.status == "FAIL" and math.isnan(entry.metric)
+    payload = {e["claim"]: e for e in ledger_to_json(result)["entries"]}
+    assert payload[claim]["metric"] is None
+    assert [e.claim for e in result.entries if e.status == "FAIL"] == [claim]
+
+
 def test_abelian_necessary_claim_agrees_with_its_criterion_below_rounding():
     """At tol 1e-30 the claim fails on its rounding-sized deviations, but the
     criterion decides every witness as the claim's own deviation does."""
