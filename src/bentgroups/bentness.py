@@ -179,19 +179,26 @@ def oracle_verdicts(
     per-function calls in the last bits; the rules are theirs.  A row with a
     NaN value is neither bent nor flat.
     """
-    group = table.group
-    n = group.order
+    n = table.group.order
     v = np.asarray(values, dtype=complex)
     if v.ndim != 2 or v.shape[1] != n:
         raise ValueError(f"expected a (B, {n}) batch of values, got shape {v.shape}")
+    bent, unimodular = _sum_verdicts(table, v, tol)
+    spectra = np.abs(v @ np.conj(table.phi)) ** 2 / np.square(table.degrees)
+    flat = unimodular & (_row_max(np.abs(spectra - n)) <= n * tol)
+    return bent, flat
+
+
+def _sum_verdicts(table: CharacterTable, v: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """The derivative-sum half of :func:`oracle_verdicts` on a complex (B, n) batch:
+    whether each row is bent, and whether it is unimodular."""
+    group = table.group
+    n = group.order
     deviation = _row_max(np.abs(np.abs(v) - 1.0))
     sums = (v[:, group.cayley] @ np.conj(v)[:, :, None])[:, :, 0]
     residuals = np.abs(sums[:, np.arange(n) != group.identity])
     unimodular = deviation <= tol
-    bent = unimodular & (_row_max(residuals, initial=0.0) <= n * tol)
-    spectra = np.abs(v @ np.conj(table.phi)) ** 2 / np.square(table.degrees)
-    flat = unimodular & (_row_max(np.abs(spectra - n)) <= n * tol)
-    return bent, flat
+    return unimodular & (_row_max(residuals, initial=0.0) <= n * tol), unimodular
 
 
 def report_to_json(report: BentReport) -> dict:

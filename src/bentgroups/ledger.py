@@ -21,6 +21,7 @@ from .bentness import (
     BENT,
     NOT_UNIMODULAR,
     _rounding_tol,
+    _sum_verdicts,
     derivative_sum,
     is_bent,
     oracle_verdicts,
@@ -94,8 +95,11 @@ def _gate(metric: float, tol: float) -> str:
 
 
 def _worst(*metrics: float) -> float:
-    """The largest metric, NaN if any is NaN (``max`` keeps a number before a NaN)."""
-    return float(np.max(metrics))
+    """The largest metric, the last of equal ones as in ``np.max`` (which sets the
+    sign of a zero); NaN if any is NaN, where ``max`` keeps a number before a NaN."""
+    if any(map(math.isnan, metrics)):
+        return math.nan
+    return float(max(reversed(metrics)))
 
 
 def _floor_note(tol: float, n_max: int) -> str:
@@ -136,9 +140,9 @@ def _claim_character_tables(tol: float) -> LedgerEntry:
     for n in (3, 4, 5, 8, 12):
         table = character_table(make_cyclic(n))
         k = np.arange(n)
-        for i in range(n):
-            row = np.exp(2j * np.pi * ((i * k) % n) / n)
-            worst = _worst(worst, np.max(np.abs(table.phi[:, i] - row)))
+        # row i is omega^(i*k); the matrix of all rows is symmetric, so it is phi's layout
+        rows = np.exp(2j * np.pi * ((k[:, None] * k) % n) / n)
+        worst = _worst(worst, np.max(np.abs(table.phi - rows)))
     for name in ("S3", "Q8"):
         # each exact row against its nearest class-sum row; no two may share one
         rows = _class_sum_rows(make_named(name))
@@ -256,7 +260,7 @@ def _claim_z2_counterexample(tol: float) -> LedgerEntry:
 def _criterion_vs_oracle(table: CharacterTable, a: np.ndarray, tol: float) -> int:
     """Rows of a coefficient batch on which the Z_n criterion and the oracle disagree."""
     tol = _rounding_tol(tol, table.group.order)
-    bent, _ = oracle_verdicts(table, a @ table.phi.T, tol)
+    bent, _ = _sum_verdicts(table, a @ table.phi.T, tol)
     return int(np.sum(cyclic_satisfied(a, tol) != bent))
 
 

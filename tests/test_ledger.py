@@ -33,6 +33,7 @@ from bentgroups import (
     make_named,
     oracle_verdicts,
 )
+from bentgroups.characters import _REFERENCE_TABLES
 from bentgroups.criteria import _Z3_Z4_TERMS, _printed_sums
 
 EXPECTED_CLAIMS = [
@@ -205,6 +206,36 @@ def test_worst_propagates_nan():
     for metrics in ((0.0, math.nan), (math.nan, 0.0), (0.0, np.float64(math.nan), 1.0)):
         assert math.isnan(ledger_module._worst(*metrics)), metrics
     assert ledger_module._gate(ledger_module._worst(0.0, math.nan), 1e-8) == "FAIL"
+    rng = np.random.default_rng(202)
+    pool = [0.0, -0.0, 1.0, 2.5e-16, math.inf, np.float64(0.0), np.float64(-0.0),
+            np.float64(1.0), np.float64(math.inf)]
+    for _ in range(2000):
+        metrics = tuple(pool[j] for j in rng.integers(0, len(pool), int(rng.integers(1, 8))))
+        want = np.float64(np.max(metrics))
+        assert np.float64(ledger_module._worst(*metrics)).tobytes() == want.tobytes(), metrics
+        for position in range(len(metrics) + 1):
+            for nan in (math.nan, np.float64(math.nan)):
+                with_nan = (*metrics[:position], nan, *metrics[position:])
+                assert math.isnan(float(np.max(with_nan)))
+                assert math.isnan(ledger_module._worst(*with_nan)), with_nan
+
+
+def test_cyclic_table_check_is_the_per_row_loop(monkeypatch):
+    """``character-tables`` compares each cyclic table with all its omega-power
+    rows in one step; with the S3 and Q8 rows matched exactly, its metric is the
+    per-row loop's, bit for bit."""
+    worst = 0.0
+    for n in (3, 4, 5, 8, 12):
+        phi = character_table(make_cyclic(n)).phi
+        k = np.arange(n)
+        for i in range(n):
+            row = np.exp(2j * np.pi * ((i * k) % n) / n)
+            worst = max(worst, float(np.max(np.abs(phi[:, i] - row))))
+    assert worst > 0.0
+    monkeypatch.setattr(ledger_module, "_class_sum_rows",
+                        lambda group: np.round(_REFERENCE_TABLES[group.name]))
+    entry = ledger_module._claim_character_tables(1e-8)
+    assert np.float64(entry.metric).tobytes() == np.float64(worst).tobytes()
 
 
 def nan_at(values: np.ndarray, index) -> np.ndarray:
