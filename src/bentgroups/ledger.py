@@ -11,6 +11,7 @@ so the contradiction cannot pass silently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -457,26 +458,45 @@ def _search_entry(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _seed_free(tol: float) -> tuple[LedgerEntry, ...]:
+    """The six claims that take no seed, in ledger order: each is a pure
+    function of ``tol``, so a process checks them once per tolerance."""
+    return (
+        _claim_character_tables(tol),
+        _claim_derivative_definition(tol),
+        _claim_abelian_necessary(tol),
+        _claim_z2_counterexample(tol),
+        _claim_impossibility_certificate(tol),
+        _claim_q8_system(tol),
+    )
+
+
 def build_ledger(tol: float = 1e-8, budget: int = DEFAULT_BUDGET, seed: int = 0) -> PaperLedger:
     """Run every claim check and assemble the ledger.
 
-    A budget of 0 skips the two search entries; a negative budget or seed is
-    rejected.
+    The six seed-free claims are checked once per process and tolerance and
+    reused by later builds; the seeded claims and both searches run on every
+    build.  A budget of 0 skips the two search entries; a NaN, infinite or
+    negative tolerance and a negative budget or seed are rejected.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite non-negative number, got {tol}")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    tables, definition, abelian, z2, certificate, q8 = _seed_free(tol)
     entries = (
-        _claim_character_tables(tol),
-        _claim_derivative_definition(tol),
+        tables,
+        definition,
         _claim_bent_iff(tol, seed),
-        _claim_abelian_necessary(tol),
-        _claim_z2_counterexample(tol),
+        abelian,
+        z2,
         _claim_z3_z4(tol, seed),
         _claim_cyclic_general(tol, seed),
         _claim_klein_remark(tol, seed),
-        _claim_impossibility_certificate(tol),
+        certificate,
         _search_entry(
             "s3-search-evidence",
             "seeded coefficient search on S3 never certifies a bent function",
@@ -486,7 +506,7 @@ def build_ledger(tol: float = 1e-8, budget: int = DEFAULT_BUDGET, seed: int = 0)
             seed,
             101,
         ),
-        _claim_q8_system(tol),
+        q8,
         _search_entry(
             "q8-existence-evidence",
             "seeded coefficient search on Q8 never certifies a bent function",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -50,6 +52,26 @@ EXPECTED_CLAIMS = [
     "q8-printed-magnitude-system",
     "q8-existence-evidence",
 ]
+
+
+#: The claims that take no seed, which ``build_ledger`` checks once per tolerance.
+SEED_FREE = [
+    "_claim_character_tables",
+    "_claim_derivative_definition",
+    "_claim_abelian_necessary",
+    "_claim_z2_counterexample",
+    "_claim_impossibility_certificate",
+    "_claim_q8_system",
+]
+
+
+@pytest.fixture(autouse=True)
+def fresh_seed_free_memo():
+    """Each test starts and ends with no memoized seed-free claims, so a test that
+    patches a claim's internals and then builds a ledger checks its patch."""
+    ledger_module._seed_free.cache_clear()
+    yield
+    ledger_module._seed_free.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +131,55 @@ def test_negative_budget_is_rejected():
 def test_negative_seed_is_rejected():
     with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
         build_ledger(budget=0, seed=-5)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_a_bad_tolerance_is_rejected(tol):
+    message = f"tol must be a finite non-negative number, got {tol}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_ledger(tol=tol, budget=0)
+    assert ledger_module._seed_free.cache_info().currsize == 0
+
+
+def count_seed_free_runs(monkeypatch) -> Counter:
+    """Patch each seed-free claim to count its runs per (claim, tol)."""
+    runs = Counter()
+
+    def counted(name, real):
+        def claim(tol):
+            runs[name, tol] += 1
+            return real(tol)
+        return claim
+
+    for name in SEED_FREE:
+        monkeypatch.setattr(ledger_module, name, counted(name, getattr(ledger_module, name)))
+    return runs
+
+
+def test_seed_free_claims_run_once_per_tolerance(monkeypatch):
+    runs = count_seed_free_runs(monkeypatch)
+    first = ledger_to_json(build_ledger(budget=0, seed=0))
+    assert ledger_to_json(build_ledger(budget=0, seed=0)) == first
+    build_ledger(budget=0, seed=5)
+    assert runs == {(name, 1e-8): 1 for name in SEED_FREE}
+    build_ledger(tol=1e-15, budget=0, seed=5)
+    assert runs == {(name, tol): 1 for name in SEED_FREE for tol in (1e-8, 1e-15)}
+    build_ledger(budget=0, seed=1)
+    assert sum(runs.values()) == 2 * len(SEED_FREE)
+    info = ledger_module._seed_free.cache_info()
+    assert (info.currsize, info.hits) == (2, 3) and info.maxsize  # bounded
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-15, 1e-30, 0.0])
+def test_memoized_seed_free_entries_equal_a_fresh_computation(tol):
+    build_ledger(tol=tol, budget=0)
+    memoized = {e.claim: e for e in build_ledger(tol=tol, budget=0, seed=3).entries}
+    assert ledger_module._seed_free.cache_info().hits == 1
+    for name in SEED_FREE:
+        fresh = getattr(ledger_module, name)(tol)
+        entry = memoized[fresh.claim]
+        assert entry == fresh
+        assert np.float64(entry.metric).tobytes() == np.float64(fresh.metric).tobytes()
 
 
 def test_certified_search_witness_fails_both_search_claims(monkeypatch):

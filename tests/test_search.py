@@ -291,8 +291,38 @@ def _reference_rescale(mags, i, t):
     return m
 
 
+def _golden_section(fun, lo, hi, max_evals):
+    """Minimize a unimodal-ish scalar function in max_evals >= 2 calls; returns (x, f(x))."""
+    c = hi - search_module._GOLDEN * (hi - lo)
+    d = lo + search_module._GOLDEN * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    for _ in range(max_evals - 2):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - search_module._GOLDEN * (hi - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + search_module._GOLDEN * (hi - lo)
+            fd = fun(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _evaluate(transcript, a):
+    """One scalar probe through ``_probe_objective``, entered in the transcript."""
+    obj = _probe_objective(transcript.table, transcript.shifts, a)
+    transcript.evaluations += 1
+    transcript.probe_values.append(obj)
+    if obj < transcript.best_objective:
+        transcript.best_objective = obj
+        transcript.best_coefficients = a.copy()
+    return obj
+
+
 def _reference_refine(transcript, start, local_budget):
-    """``search._refine`` as a plain loop on numpy scalars: the bits the refinement keeps."""
+    """``search._refine`` as a plain loop on numpy scalars, with a separate
+    golden-section search and each probe through ``_probe_objective``: the bits
+    the refinement keeps."""
     r = len(start)
     a = start.copy()
     best = transcript.best_objective
@@ -302,9 +332,7 @@ def _reference_refine(transcript, start, local_budget):
         nonlocal best
         cap = min(search_module._GOLDEN_ITERS, stop_at - transcript.evaluations)
         if cap >= 2 and transcript.best_objective > transcript.tol:
-            x, obj = search_module._golden_section(
-                lambda x: transcript.evaluate(vector(x)), lo, hi, cap
-            )
+            x, obj = _golden_section(lambda x: _evaluate(transcript, vector(x)), lo, hi, cap)
             if obj < best - 1e-15:
                 best = obj
                 return x
