@@ -115,7 +115,6 @@ def _probe_objective(table: CharacterTable, shifts: np.ndarray, a: np.ndarray) -
     floats (``- 1``, ``abs``, ``max``) run in Python, where they round as numpy
     does; ``max`` returns NaN for a NaN coefficient, since every value and
     every sum is then NaN.
-    ``_refine`` repeats this arithmetic inline, so the two change together.
     """
     values = a[None, :] @ table.phi.T
     v = values[0]
@@ -157,6 +156,25 @@ def _seed_candidates(table: CharacterTable) -> list[np.ndarray]:
             a = np.kron(a, zadoff_chu(m, 1) / math.sqrt(m))
         seeds.append(a)
     return seeds
+
+
+def _golden_section(
+    fun: Callable[[float], float], lo: float, hi: float, max_evals: int
+) -> tuple[float, float]:
+    """Minimize a unimodal-ish scalar function in max_evals >= 2 calls; returns (x, f(x))."""
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    for _ in range(max_evals - 2):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = fun(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def _rescale(mags: np.ndarray, i: int, t: float) -> np.ndarray:
@@ -219,48 +237,29 @@ def _refine(transcript: _Transcript, start: np.ndarray, local_budget: int) -> No
     a = start.copy()
     best = transcript.best_objective
     stop_at = min(transcript.evaluations + local_budget, transcript.budget)
-    phi_t, shifts, n = transcript.table.phi.T, transcript.shifts, transcript.table.group.order
-    probe_values = transcript.probe_values
+    table, shifts, probe_values = transcript.table, transcript.shifts, transcript.probe_values
 
     def line_search(vector: Callable[[float], np.ndarray], lo: float, hi: float) -> float | None:
         """Golden-section search of vector(x) over [lo, hi] in ``cap`` probes: the x
         that improves on best, or None, also when the budget or the tolerance
-        leaves no search.  Each probe scores vector(x) as ``_probe_objective``
-        does, inline, and enters the transcript."""
+        leaves no search.  Each probe is scored by ``_probe_objective`` and
+        enters the transcript."""
         nonlocal best
         cap = min(_GOLDEN_ITERS, stop_at - transcript.evaluations)
         if cap < 2 or transcript.best_objective <= transcript.tol:
             return None
-        transcript.evaluations += cap
-        c = hi - _GOLDEN * (hi - lo)
-        d = lo + _GOLDEN * (hi - lo)
-        x, at_c = c, True
-        for k in range(cap):
+
+        def probe(x: float) -> float:
             b = vector(x)
-            values = b[None, :] @ phi_t
-            v = values[0]
-            gap = max([abs(m - 1.0) for m in np.abs(v).tolist()])
-            sums = np.add.reduce(values.conj() * v.take(shifts), axis=-1)
-            obj = max(np.abs(sums).tolist(), default=0.0) / n + gap
+            obj = _probe_objective(table, shifts, b)
             probe_values.append(obj)
             if obj < transcript.best_objective:
                 transcript.best_objective, transcript.best_coefficients = obj, b.copy()
-            if at_c:
-                fc = obj
-            else:
-                fd = obj
-            if k == 0:
-                x, at_c = d, False
-            elif k < cap - 1:
-                # keep the bracket around the lower of the two inner points
-                at_c = fc <= fd
-                if at_c:
-                    hi, d, fd = d, c, fc
-                    c = x = hi - _GOLDEN * (hi - lo)
-                else:
-                    lo, c, fc = c, d, fd
-                    d = x = lo + _GOLDEN * (hi - lo)
-        x, obj = (c, fc) if fc <= fd else (d, fd)
+            return obj
+
+        # the golden-section search makes exactly cap probes
+        transcript.evaluations += cap
+        x, obj = _golden_section(probe, lo, hi, cap)
         if obj < best - 1e-15:
             best = obj
             return x

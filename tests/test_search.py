@@ -291,23 +291,6 @@ def _reference_rescale(mags, i, t):
     return m
 
 
-def _golden_section(fun, lo, hi, max_evals):
-    """Minimize a unimodal-ish scalar function in max_evals >= 2 calls; returns (x, f(x))."""
-    c = hi - search_module._GOLDEN * (hi - lo)
-    d = lo + search_module._GOLDEN * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_evals - 2):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - search_module._GOLDEN * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + search_module._GOLDEN * (hi - lo)
-            fd = fun(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
 def _evaluate(transcript, a):
     """One scalar probe through ``_probe_objective``, entered in the transcript."""
     obj = _probe_objective(transcript.table, transcript.shifts, a)
@@ -320,9 +303,8 @@ def _evaluate(transcript, a):
 
 
 def _reference_refine(transcript, start, local_budget):
-    """``search._refine`` as a plain loop on numpy scalars, with a separate
-    golden-section search and each probe through ``_probe_objective``: the bits
-    the refinement keeps."""
+    """``search._refine`` as a plain loop on numpy scalars, with each probe
+    through ``_evaluate``: the bits the refinement keeps."""
     r = len(start)
     a = start.copy()
     best = transcript.best_objective
@@ -332,7 +314,9 @@ def _reference_refine(transcript, start, local_budget):
         nonlocal best
         cap = min(search_module._GOLDEN_ITERS, stop_at - transcript.evaluations)
         if cap >= 2 and transcript.best_objective > transcript.tol:
-            x, obj = _golden_section(lambda x: _evaluate(transcript, vector(x)), lo, hi, cap)
+            x, obj = search_module._golden_section(
+                lambda x: _evaluate(transcript, vector(x)), lo, hi, cap
+            )
             if obj < best - 1e-15:
                 best = obj
                 return x
