@@ -120,7 +120,9 @@ def derivative_sums(f: ClassFunction) -> np.ndarray:
 
 
 def _verdict(deviation: float, max_residual: float, n: int, tol: float) -> str:
-    """The verdict rule of :class:`BentReport`, shared by the batch path."""
+    """The verdict rule of :class:`BentReport`.  :func:`_sum_verdicts` writes the
+    same rule out as array comparisons; only ``tests/test_bentness.py`` checks
+    that the two agree."""
     if deviation > tol:
         return NOT_UNIMODULAR
     return BENT if max_residual <= n * tol else NOT_BENT

@@ -168,12 +168,10 @@ def _from_pairs(data: object) -> np.ndarray:
     return pairs.view(complex)[:, 0]
 
 
-def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> ClassFunction:
+def class_function_from_json(obj: dict) -> ClassFunction:
     """Rebuild a class function from :func:`class_function_to_json` output.
 
-    The group is resolved from its label unless a matching ``table`` is
-    supplied: one whose group is named by the label or by what the label
-    resolves to, so ``"z4"`` matches ``Z4``.  Only the primary representation
+    The group is resolved from its label.  Only the primary representation
     named by ``basis`` is trusted; the other is recomputed.  Data must be
     finite ``[re, im]`` pairs, one per class or one per element as ``basis``
     says, whose function has a finite energy sum ``|f(x)|^2``, which bounds
@@ -188,21 +186,13 @@ def class_function_from_json(obj: dict, table: CharacterTable | None = None) -> 
     label, basis, data = str(obj["group"]), str(obj["basis"]), obj["data"]
     if basis not in ("coefficients", "pointwise"):
         raise ValueError(f"unknown basis {basis!r}; expected 'coefficients' or 'pointwise'")
-    if table is None:
-        group = group_from_label(label)
-    elif label != table.group.name and group_from_label(label).name != table.group.name:
-        raise ValueError(
-            f"class-function JSON is for group {label!r}, not {table.group.name!r}"
-        )
-    else:
-        group = table.group
+    group = group_from_label(label)
     payload = _from_pairs(data)
     _check_length(group, payload, basis)
-    if table is None:  # built last, so that a malformed file costs no table
-        table = character_table(group)
     build = from_coefficients if basis == "coefficients" else from_values
     with np.errstate(over="ignore", invalid="ignore"):
-        f = build(table, payload)
+        # the table is built last, so that a malformed file costs no table
+        f = build(character_table(group), payload)
         energy = float(np.sum(np.abs(f.values) ** 2))
     if not math.isfinite(energy):
         raise ValueError("class-function data overflows: its energy sum |f(x)|^2 is not finite")

@@ -37,6 +37,7 @@ from bentgroups import (
 )
 from bentgroups.characters import _REFERENCE_TABLES
 from bentgroups.criteria import _Z3_Z4_TERMS, _printed_sums
+from bentgroups.search import SearchConfig, Strategy
 
 EXPECTED_CLAIMS = [
     "character-tables",
@@ -167,14 +168,14 @@ def test_seed_free_claims_run_once_per_tolerance(monkeypatch):
     build_ledger(budget=0, seed=1)
     assert sum(runs.values()) == 2 * len(SEED_FREE)
     info = ledger_module._seed_free.cache_info()
-    assert (info.currsize, info.hits) == (2, 3) and info.maxsize  # bounded
+    assert (info.currsize, info.hits) == (12, 18) and info.maxsize  # bounded
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-15, 1e-30, 0.0])
 def test_memoized_seed_free_entries_equal_a_fresh_computation(tol):
     build_ledger(tol=tol, budget=0)
     memoized = {e.claim: e for e in build_ledger(tol=tol, budget=0, seed=3).entries}
-    assert ledger_module._seed_free.cache_info().hits == 1
+    assert ledger_module._seed_free.cache_info().hits == 6
     for name in SEED_FREE:
         fresh = getattr(ledger_module, name)(tol)
         entry = memoized[fresh.claim]
@@ -191,6 +192,93 @@ def test_certified_search_witness_fails_both_search_claims(monkeypatch):
     failing = [e.claim for e in result.entries if e.status == "FAIL"]
     assert failing == ["s3-search-evidence", "q8-existence-evidence"]
     assert not result.passed
+
+
+#: ``build_ledger(budget=0)`` at tol 1e-8: each entry's claim, statement, status and
+#: detail.  Metrics are left out; they round differently under other BLAS kernels.
+BUDGET_ZERO_ENTRIES = [
+    ("character-tables",
+     "the character tables of Z3, Z4, Z_n (omega-power rows), S3 and Q8 match the built-in "
+     "references entrywise",
+     "PASS", "max entrywise deviation across analytic and class-sum routes"),
+    ("derivative-sum-definition",
+     "the derivative sum at the identity equals the total energy, and single-character "
+     "derivative sums match their closed forms",
+     "PASS", "checked chi_2 on Z3 (D(1) = 3*omega, |D| = 3) and a bent witness on Z5"),
+    ("bent-iff-derivative-sums",
+     "a class function is bent iff every non-identity derivative sum vanishes; on abelian "
+     "groups this matches spectrum flatness",
+     "PASS", "derivative-sum and spectral verdicts compared on 847 functions"),
+    ("abelian-necessary-magnitudes",
+     "bent functions on abelian groups have |a_i|^2 = 1/n, and solving Phi w = (1,0,...,0) "
+     "via conj(Phi)^T/n reproduces the flat solution",
+     "PASS", "Zadoff-Chu witnesses on Z_2..Z_16 plus the Phi-system round trip"),
+    ("z2-not-unimodular-counterexample",
+     "on Z2 the flat-magnitude vector (1,1)/sqrt(2) takes the values (sqrt(2), 0), so it is "
+     "not a map into the unit circle and the necessary magnitude condition is not sufficient",
+     "PASS", "verdict NOT_UNIMODULAR, deviation 1.000000"),
+    ("z3-z4-closed-forms",
+     "the displayed Z3 and Z4 bentness conditions equal the general lag-sum criterion and "
+     "agree with the derivative-sum oracle",
+     "PASS", "printed sums vs lag sums plus oracle agreement (0 disagreements)"),
+    ("cyclic-iff-general",
+     "on Z_n a class function is bent iff all |a_i| = 1/sqrt(n) and every cyclic lag sum "
+     "vanishes",
+     "PASS", "criterion vs oracle on 1695 coefficient vectors, n = 2..12"),
+    ("klein-printed-conditions",
+     "the three displayed V4 sums vanish on every bent function (necessity); as printed they "
+     "are not jointly sufficient",
+     "PASS",
+     "necessity checked on 50 transformed bent witnesses; sufficiency gap witness (1,i,i,1)/2: "
+     "criterion satisfied = True, oracle verdict = NOT_UNIMODULAR (second and third sums "
+     "repeat the same terms)"),
+    ("impossibility-certificate",
+     "no unimodular class function on S3, Q8 or D4 is bent: inversion gives n|a_i| <= "
+     "||chi_i||_1, bentness forces |a_i| = d_i/sqrt(n), and the 2-dimensional character has "
+     "||chi||_1 = 4 < d*sqrt(n) (2*sqrt(6) on S3, 4*sqrt(2) on Q8 and D4)",
+     "PASS",
+     "||chi_i||_1 < n*sqrt(m_i) with m from solve_magnitude_system: S3 chi_3: 4.000 < 4.899; "
+     "Q8 chi_5: 4.000 < 5.657; D4 chi_5: 4.000 < 5.657"),
+    ("s3-search-evidence", "seeded coefficient search on S3 never certifies a bent function",
+     "SKIPPED", "search skipped (budget 0)"),
+    ("q8-printed-magnitude-system",
+     "the five displayed Q8 magnitude equations (including the printed -8 coefficient) have "
+     "unique solution (2/9, 2/9, 2/9, 2/9, 1/9)",
+     "PASS",
+     "solved the printed linear system and re-evaluated each equation; the closed form "
+     "D(x)/n = sum_i |a_i|^2 chi_i(x)/d_i derives (1/8, 1/8, 1/8, 1/8, 1/2) instead, at which "
+     "the brute-force derivative sums vanish"),
+    ("q8-existence-evidence", "seeded coefficient search on Q8 never certifies a bent function",
+     "SKIPPED", "search skipped (budget 0)"),
+]
+
+
+def test_claim_text_and_statuses_are_pinned():
+    entries = [(e.claim, e.statement, e.status, e.detail) for e in build_ledger(budget=0).entries]
+    assert entries == BUDGET_ZERO_ENTRIES
+
+
+def test_search_claims_report_their_search(monkeypatch):
+    """Each search claim runs one ``random+local`` search on its own seed stream
+    and reports its best objective and evaluation count."""
+    configs = []
+
+    def stub(config):
+        configs.append(config)
+        return SimpleNamespace(best_objective=0.25, evaluations=7, certified_bent=False)
+
+    monkeypatch.setattr(ledger_module, "run_search", stub)
+    entries = {e.claim: e for e in build_ledger(tol=1e-9, budget=123, seed=5).entries}
+    detail = "best objective 2.500000e-01 over 7 evaluations; certified_bent = False"
+    for claim in ("s3-search-evidence", "q8-existence-evidence"):
+        entry = entries[claim]
+        assert (entry.status, entry.metric, entry.detail) == ("EVIDENCE", 0.25, detail)
+    assert configs == [
+        SearchConfig(
+            group=group, budget=123, seed=seed, tol=1e-9, strategy=Strategy.RANDOM_PLUS_LOCAL
+        )
+        for group, seed in (("S3", 5 + 101), ("Q8", 5 + 102))
+    ]
 
 
 def test_impossibility_certificate_entry(default_ledger):
