@@ -22,20 +22,6 @@ from .constructions import *
 from .errors import *
 from .groups import *
 
-#: Modules that run on first attribute access, since ``chars``, ``check`` and
-#: ``construct`` call none of them, and the names re-exported from each.  They
-#: sit in ``sys.modules`` from the start, where perfbench's tracer finds them.
-_LAZY = {
-    "criteria": ("CriterionOutcome", "ImpossibilityCertificate", "abelian_magnitude_necessary",
-                 "cyclic_criterion", "cyclic_lag_sums", "cyclic_satisfied",
-                 "impossibility_certificate", "klein_criterion", "q8_equation_residuals",
-                 "solve_magnitude_system", "solve_q8_system"),
-    "ledger": ("LedgerEntry", "PaperLedger", "build_ledger", "ledger_to_json"),
-    "search": ("SearchConfig", "SearchResult", "Strategy", "objective", "result_to_json",
-               "run_search"),
-}
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
-
 
 def _load_on_first_use(module: str):
     """Register the submodule unexecuted; ``from .module import name`` runs it."""
@@ -47,16 +33,26 @@ def _load_on_first_use(module: str):
     return lazy
 
 
+#: Modules that run on first use, since ``chars``, ``check`` and ``construct``
+#: call none of them.  They sit in ``sys.modules`` from the start, where
+#: perfbench's tracer finds them, and each one's ``__all__`` lists its names.
 criteria = _load_on_first_use("criteria")
 ledger = _load_on_first_use("ledger")
 search = _load_on_first_use("search")
 
+#: the eager names, frozen before ``import bentgroups.cli`` can bind ``cli``
+_EAGER = [name for name in globals() if not name.startswith("_")]
+
 
 def __getattr__(name: str) -> object:
-    if name in _LAZY_MODULE:
-        return getattr(globals()[_LAZY_MODULE[name]], name)
+    """``__all__`` or a lazy module's name; reading one runs the modules it reads."""
+    if name == "__all__":
+        return sorted(_EAGER + [n for lazy in (criteria, ledger, search) for n in lazy.__all__])
+    if name != "cli":  # ``from bentgroups import cli`` asks here before importing it
+        for lazy in (criteria, ledger, search):
+            if name in lazy.__all__:
+                return getattr(lazy, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_LAZY_MODULE))
 __version__ = "0.1.0"

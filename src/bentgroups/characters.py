@@ -76,44 +76,41 @@ class CharacterTable:
     """Irreducible characters of ``group``.
 
     ``class_values[i, c]`` is the value of character ``i`` on conjugacy class
-    ``c`` (class order follows ``group.class_reps``).  ``phi[x, i]`` is the
-    value of character ``i`` at element ``x``; for abelian groups ``phi`` is
-    square and ``phi @ phi^H / n`` is the identity.  Row 0 is always the
-    trivial character.  A class-sum table is built with both arrays.  A table
-    of a group built from cyclic factors has degrees 1 and builds its one
-    array ``roots[E]``, which is both ``phi`` and ``class_values`` as E is
-    symmetric, when either is first read, and checks its roots then; so an
-    FFT-sized table that is only transformed never holds an n x n array.
+    ``c`` (class order follows ``group.class_reps``), the one array a table
+    stores; row 0 is the trivial character.  ``phi[x, i]``, the value of
+    character ``i`` at element ``x``, is the read-only C-contiguous gather
+    ``class_values[:, group.class_of].T``, and ``root_order`` is the exponent
+    of ``group``.  An analytic table (cyclic factors, degrees 1) builds and
+    checks its class values ``roots[E]`` when they are first read; E is
+    symmetric, so that array is its ``phi`` too, and an FFT-sized table that
+    is only transformed never holds an n x n array.
     """
 
     group: Group
     degrees: tuple[int, ...]
-    root_order: int
-    #: the arrays once built; ``None`` only before an analytic table's first read
+    #: the class values once built; ``None`` only before an analytic table's first read
     _class_values: np.ndarray | None = None
-    _phi: np.ndarray | None = None
 
     @property
     def class_values(self) -> np.ndarray:
         if self._class_values is None:
-            self._build_values()
+            # threads that race here build equal read-only arrays
+            values = np.take(*_value_index(self))
+            values.setflags(write=False)
+            object.__setattr__(self, "_class_values", values)
         return self._class_values
 
-    @property
+    @functools.cached_property
     def phi(self) -> np.ndarray:
-        if self._phi is None:
-            self._build_values()
-        return self._phi
+        if self.group.abelian_factors is not None:
+            return self.class_values
+        phi = self.class_values[:, self.group.class_of].T.copy()
+        phi.setflags(write=False)
+        return phi
 
-    def _build_values(self) -> None:
-        """Build and check the analytic values; threads that race here build
-        equal read-only arrays."""
-        # E is symmetric, so phi is its own transpose: the class values
-        values = np.take(_checked_roots(self.group), _exponents(self.group.abelian_factors))
-        values.setflags(write=False)
-        for name in ("_class_values", "_phi"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, values)
+    @property
+    def root_order(self) -> int:
+        return self.group.exponent
 
     @property
     def n_irreps(self) -> int:
@@ -363,20 +360,12 @@ def character_table(group: Group) -> CharacterTable:
         # every class is a singleton, listed in element order, so the
         # element-by-character matrix is the table of class values
         assert np.array_equal(group.class_of, np.arange(group.order))
-        return CharacterTable(group=group, degrees=(1,) * group.order, root_order=group.exponent)
+        return CharacterTable(group=group, degrees=(1,) * group.order)
     class_values = (_aligned_reference(group) if group.name in _REFERENCE_TABLES
                     else _sort_rows(_class_sum_rows(group)))
     degrees = _checked_degrees(class_values, _gram_deviation(group, class_values))
-    phi = class_values[:, group.class_of].T.copy()
     class_values.setflags(write=False)
-    phi.setflags(write=False)
-    return CharacterTable(
-        group=group,
-        degrees=degrees,
-        root_order=group.exponent,
-        _class_values=class_values,
-        _phi=phi,
-    )
+    return CharacterTable(group=group, degrees=degrees, _class_values=class_values)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +468,8 @@ _JSON_PAIR = "{0}[\n{0}  %r,\n{0}  %r\n{0}]"
 
 def _value_index(table: CharacterTable) -> tuple[np.ndarray, np.ndarray]:
     """Values and an index into them with ``class_values == values[index]`` bit
-    for bit: on an analytic table the checked e-th roots of unity and E, else
-    the r^2 class values."""
+    for bit: on an analytic table the checked e-th roots of unity and E, which
+    build its class values, else the r^2 class values."""
     factors = table.group.abelian_factors
     if factors is not None:
         return _checked_roots(table.group), _exponents(factors)
@@ -545,12 +534,13 @@ def table_to_csv(table: CharacterTable) -> str:
     for label in labels:
         header.extend([label, f"{label}_re", f"{label}_im"])
     writer.writerow(header)
+    root_order = table.root_order
     for i in range(table.n_irreps):
         row: list[str] = [f"chi_{i + 1}"]
         for z in table.class_values[i]:
             row.extend(
                 [
-                    _render_value(complex(z), table.root_order),
+                    _render_value(complex(z), root_order),
                     f"{z.real:.12g}",
                     f"{z.imag:.12g}",
                 ]

@@ -70,6 +70,8 @@ class SequenceSpec:
     root: int = 1
 
     def __post_init__(self) -> None:
+        if self.kind in list(SequenceKind):  # a valid string too, as _sequence uses ``is``
+            object.__setattr__(self, "kind", SequenceKind(self.kind))
         _check_sequence(self.kind, self.length, self.root)
 
 

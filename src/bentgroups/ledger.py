@@ -52,7 +52,7 @@ from .criteria import (
     solve_q8_system,
 )
 from .groups import make_cyclic, make_named
-from .search import SearchConfig, Strategy, run_search
+from .search import SearchConfig, Strategy, _check_tol, run_search
 
 __all__ = ["LedgerEntry", "PaperLedger", "build_ledger", "ledger_to_json"]
 
@@ -417,8 +417,7 @@ def build_ledger(tol: float = 1e-8, budget: int = DEFAULT_BUDGET, seed: int = 0)
     build.  A budget of 0 skips the two search entries; a NaN, infinite or
     negative tolerance and a negative budget or seed are rejected.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite non-negative number, got {tol}")
+    _check_tol(tol)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     if seed < 0:

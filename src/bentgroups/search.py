@@ -46,6 +46,12 @@ class Strategy(str, enum.Enum):
     RANDOM_PLUS_LOCAL = "random+local"
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a NaN, infinite or negative tolerance."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite non-negative number, got {tol}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Search parameters; identical configs yield identical results."""
@@ -57,6 +63,11 @@ class SearchConfig:
     strategy: Strategy = Strategy.RANDOM_PLUS_LOCAL
 
     def __post_init__(self) -> None:
+        for name in ("budget", "seed"):
+            value = getattr(self, name)
+            if not hasattr(type(value), "__index__"):  # what operator.index accepts
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_tol(self.tol)
         if self.budget < 1:
             raise ValueError(f"budget must be at least 1, got {self.budget}")
         if self.seed < 0:
@@ -315,29 +326,23 @@ def run_search(config: SearchConfig) -> SearchResult:
         phases = np.exp(2j * np.pi * rng.random((size, r)))
         transcript.record_batch(np.sqrt(mags) * phases)
 
-    if (
-        local_budget
-        and not transcript.done
-        and transcript.best_coefficients is not None
-    ):
+    if local_budget and not transcript.done:
         _refine(transcript, transcript.best_coefficients, local_budget)
 
     best_coefficients = transcript.best_coefficients
-    assert best_coefficients is not None  # budget >= 1 guarantees an evaluation
+    assert best_coefficients is not None  # budget >= 1 and a finite tol guarantee an evaluation
     report: BentReport | None = None
-    certified = False
     if transcript.best_objective <= config.tol:
         candidate = from_coefficients(table, best_coefficients)
         report = is_bent(candidate, config.tol)
-        certified = report.verdict == BENT
-        if not certified:
+        if report.verdict != BENT:
             report = None
     best_coefficients.setflags(write=False)
     return SearchResult(
         config=config,
         best_objective=transcript.best_objective,
         best_coefficients=best_coefficients,
-        certified_bent=certified,
+        certified_bent=report is not None,
         evaluations=transcript.evaluations,
         histogram=transcript.histogram(),
         report=report,

@@ -164,9 +164,9 @@ def test_orthogonality(label):
 
 
 def test_orthogonality_detects_corruption(z4_table):
-    phi = z4_table.phi.copy()
-    phi[1, 1] *= 1.001
-    corrupted = replace(z4_table, _phi=phi)
+    values = z4_table.class_values.copy()
+    values[1, 1] *= 1.001
+    corrupted = replace(z4_table, _class_values=values)
     report = verify_orthogonality(corrupted, tol=1e-10)
     assert not report.passed
     assert report.max_row_deviation > 1e-4
@@ -755,6 +755,32 @@ def test_analytic_phi_is_the_gathered_class_values():
         assert table.phi.dtype == gathered.dtype and table.phi.shape == gathered.shape
         assert table.phi.tobytes() == gathered.tobytes(), factors
         assert table.phi.flags.c_contiguous and not table.phi.flags.writeable, factors
+
+
+@pytest.mark.parametrize("label", ["S3", "Q8", "D4", "D5"])
+def test_phi_is_the_read_only_gather_of_the_class_values(label):
+    """Off the analytic route ``phi`` is ``class_values[:, class_of].T.copy()``
+    byte for byte: the layout whose ``a @ phi.T`` bits the search pins."""
+    group = group_from_json(dihedral_json(5)) if label == "D5" else group_from_label(label)
+    table = character_table(group)
+    gathered = table.class_values[:, group.class_of].T.copy()
+    assert table.phi.dtype == gathered.dtype and table.phi.shape == gathered.shape
+    assert table.phi.tobytes() == gathered.tobytes()
+    assert table.phi.flags.c_contiguous and not table.phi.flags.writeable
+
+
+@pytest.mark.parametrize("label", ["S3", "Z4"])
+def test_replaced_class_values_give_their_own_phi(label):
+    """``phi`` follows the class values a table is built with, not a copy kept
+    beside them.  The changed entry is on the diagonal, so Z4's values stay
+    symmetric, as an analytic table's are."""
+    table = character_table(group_from_label(label))
+    table.phi  # read before the replace, which must not carry it over
+    values = table.class_values.copy()
+    values[1, 1] *= 1.001
+    replaced = replace(table, _class_values=values)
+    assert np.array_equal(replaced.phi, values[:, table.group.class_of].T)
+    assert not np.array_equal(replaced.phi, table.phi)
 
 
 def loop_roots_of_unity(m: int) -> np.ndarray:

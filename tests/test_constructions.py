@@ -131,6 +131,13 @@ def test_spec_rejects_an_unknown_kind():
     assert str(excinfo.value) == "unknown sequence kind 'bogus'"
 
 
+@pytest.mark.parametrize("kind, n, root", [("zadoff-chu", 5, 2), ("chirp", 9, 1)])
+def test_spec_takes_a_valid_kind_string_as_its_enum_member(kind, n, root):
+    spec = SequenceSpec(kind, n, root)
+    assert spec.kind is SequenceKind(kind)  # the builder tells the kinds apart with ``is``
+    assert make_bent_cyclic(spec) is make_bent_cyclic(SequenceSpec(SequenceKind(kind), n, root))
+
+
 def test_make_bent_cyclic_certifies():
     for n in (2, 5, 6, 9, 16):
         certified = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1))

@@ -63,6 +63,22 @@ def test_config_validation():
     assert config.strategy is Strategy.RANDOM
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_config_rejects_a_tolerance_that_no_search_can_meet(tol):
+    """An infinite tol stopped the search before its first evaluation, and a
+    NaN or negative one ran the whole budget without a chance to certify."""
+    with pytest.raises(ValueError) as info:
+        SearchConfig(group="S3", budget=50, tol=tol)
+    assert str(info.value) == f"tol must be a finite non-negative number, got {tol}"
+
+
+@pytest.mark.parametrize("field", ["budget", "seed"])
+def test_config_rejects_a_non_integer_budget_or_seed(field):
+    with pytest.raises(ValueError) as info:
+        SearchConfig(**{"group": "S3", "budget": 50, field: 2.5})
+    assert str(info.value) == f"{field} must be an integer, got 2.5"
+
+
 def test_objective_examples(z3_table):
     constant = np.zeros(3, dtype=complex)
     constant[0] = 1.0
