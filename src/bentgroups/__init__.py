@@ -48,7 +48,8 @@ def __getattr__(name: str) -> object:
     """``__all__`` or a lazy module's name; reading one runs the modules it reads."""
     if name == "__all__":
         return sorted(_EAGER + [n for lazy in (criteria, ledger, search) for n in lazy.__all__])
-    if name != "cli":  # ``from bentgroups import cli`` asks here before importing it
+    # ``from bentgroups import cli`` asks here before importing it; no lazy name starts with "_"
+    if name != "cli" and not name.startswith("_"):
         for lazy in (criteria, ledger, search):
             if name in lazy.__all__:
                 return getattr(lazy, name)

@@ -11,12 +11,13 @@ unimodular and ``|n * a_i / d_i|^2 = n`` for every i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .characters import CharacterTable, expand, project
-from .class_functions import ClassFunction, _pairs, is_unimodular
+from .class_functions import DEFAULT_TOL, ClassFunction, _pairs, is_unimodular
 
 __all__ = [
     "BENT",
@@ -41,6 +42,20 @@ NOT_UNIMODULAR = "NOT_UNIMODULAR"
 #: up to about n^2 ulps (2.6e-14 on a Z12 Zadoff-Chu witness), so below this
 #: floor last-bit rounding, not bentness, decides a verdict.
 _ROUNDING = 1e-15
+
+
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Reject a NaN, infinite or negative tolerance, called ``name`` in the message."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be a finite non-negative number, got {tol}")
+
+
+def _passes(deviation, worst, n: int, tol: float) -> tuple:
+    """The verdict rule on floats or row arrays: ``(unimodular, passed)``.  A NaN
+    ``deviation`` is not unimodular; ``worst`` is the largest derivative sum off
+    the identity, or the largest deviation of the spectrum from n."""
+    unimodular = deviation <= tol
+    return unimodular, unimodular & (worst <= n * tol)
 
 
 def _rounding_tol(tol: float, n: int) -> float:
@@ -119,17 +134,9 @@ def derivative_sums(f: ClassFunction) -> np.ndarray:
     return f.values[f.group.cayley] @ np.conj(f.values)
 
 
-def _verdict(deviation: float, max_residual: float, n: int, tol: float) -> str:
-    """The verdict rule of :class:`BentReport`.  :func:`_sum_verdicts` writes the
-    same rule out as array comparisons; only ``tests/test_bentness.py`` checks
-    that the two agree."""
-    if deviation > tol:
-        return NOT_UNIMODULAR
-    return BENT if max_residual <= n * tol else NOT_BENT
-
-
-def is_bent(f: ClassFunction, tol: float = 1e-8) -> BentReport:
+def is_bent(f: ClassFunction, tol: float = DEFAULT_TOL) -> BentReport:
     """Full bentness check; see :class:`BentReport` for the verdict rule."""
+    _check_tol(tol)
     group, table = f.group, f.table
     n = group.order
     _, deviation = is_unimodular(f, tol)
@@ -139,9 +146,10 @@ def is_bent(f: ClassFunction, tol: float = 1e-8) -> BentReport:
     residuals.setflags(write=False)
     s = f.sync_residual
     slack = n * s * (2.0 * float(np.max(np.abs(f.values))) + 3.0 * s)
+    unimodular, bent = _passes(deviation, max_residual + slack, n, tol)
     return BentReport(
         group=group.name,
-        verdict=_verdict(deviation, max_residual + slack, n, tol),
+        verdict=BENT if bent else NOT_BENT if unimodular else NOT_UNIMODULAR,
         residuals=residuals,
         max_residual=max_residual,
         slack=slack,
@@ -161,17 +169,16 @@ def spectrum(f: ClassFunction) -> np.ndarray:
     return np.abs(fhat) ** 2 / np.square(f.table.degrees)
 
 
-def is_bent_spectral(f: ClassFunction, tol: float = 1e-8) -> bool:
+def is_bent_spectral(f: ClassFunction, tol: float = DEFAULT_TOL) -> bool:
     """Equivalent check on any group: unimodular values and a flat spectrum."""
+    _check_tol(tol)
     n = f.group.order
-    ok, _ = is_unimodular(f, tol)
-    if not ok:
-        return False
-    return float(np.max(np.abs(spectrum(f) - n))) <= n * tol
+    ok, deviation = is_unimodular(f, tol)
+    return ok and _passes(deviation, float(np.max(np.abs(spectrum(f) - n))), n, tol)[1]
 
 
 def oracle_verdicts(
-    table: CharacterTable, values: np.ndarray, tol: float = 1e-8
+    table: CharacterTable, values: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both bentness oracles on a batch: row b of ``values`` is f_b in element order.
 
@@ -181,26 +188,19 @@ def oracle_verdicts(
     per-function calls in the last bits; the rules are theirs.  A row with a
     NaN value is neither bent nor flat.
     """
-    n = table.group.order
+    _check_tol(tol)
+    group = table.group
+    n = group.order
     v = np.asarray(values, dtype=complex)
     if v.ndim != 2 or v.shape[1] != n:
         raise ValueError(f"expected a (B, {n}) batch of values, got shape {v.shape}")
-    bent, unimodular = _sum_verdicts(table, v, tol)
-    spectra = np.abs(v @ np.conj(table.phi)) ** 2 / np.square(table.degrees)
-    flat = unimodular & (_row_max(np.abs(spectra - n)) <= n * tol)
-    return bent, flat
-
-
-def _sum_verdicts(table: CharacterTable, v: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """The derivative-sum half of :func:`oracle_verdicts` on a complex (B, n) batch:
-    whether each row is bent, and whether it is unimodular."""
-    group = table.group
-    n = group.order
     deviation = _row_max(np.abs(np.abs(v) - 1.0))
     sums = (v[:, group.cayley] @ np.conj(v)[:, :, None])[:, :, 0]
     residuals = np.abs(sums[:, np.arange(n) != group.identity])
-    unimodular = deviation <= tol
-    return unimodular & (_row_max(residuals, initial=0.0) <= n * tol), unimodular
+    _, bent = _passes(deviation, _row_max(residuals, initial=0.0), n, tol)
+    spectra = np.abs(v @ np.conj(table.phi)) ** 2 / np.square(table.degrees)
+    _, flat = _passes(deviation, _row_max(np.abs(spectra - n)), n, tol)
+    return bent, flat
 
 
 def report_to_json(report: BentReport) -> dict:

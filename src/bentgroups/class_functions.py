@@ -32,6 +32,9 @@ __all__ = [
     "save_class_function",
 ]
 
+#: The tolerance of every check that takes a ``tol`` and is given none.
+DEFAULT_TOL = 1e-8
+
 #: Maximum per-element deviation from its class mean allowed in pointwise
 #: input, relative to ``max(1, max|v|)``.
 SYNC_TOL = 1e-9
@@ -115,7 +118,7 @@ def from_values(table: CharacterTable, values: Sequence[complex]) -> ClassFuncti
     )
 
 
-def is_unimodular(f: ClassFunction, tol: float = 1e-8) -> tuple[bool, float]:
+def is_unimodular(f: ClassFunction, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether every value lies on the unit circle, plus the max deviation."""
     deviation = float(np.max(np.abs(np.abs(f.values) - 1.0)))
     return deviation <= tol, deviation

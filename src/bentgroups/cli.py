@@ -30,9 +30,9 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence
 
-from .bentness import BENT, is_bent, report_to_json
+from .bentness import BENT, _check_tol, is_bent, report_to_json
 from .characters import _JSON_PAIR, character_table, table_to_csv, table_to_json
-from .class_functions import class_function_to_json, load_class_function
+from .class_functions import DEFAULT_TOL, class_function_to_json, load_class_function
 from .constructions import SequenceKind, SequenceSpec, make_bent_cyclic
 from .groups import group_from_label
 
@@ -93,11 +93,6 @@ def _encode(obj: object, pad: str) -> str:
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _require_json(args: argparse.Namespace) -> None:
-    if args.format != "json":
-        raise ValueError("csv output is only available for the chars command")
-
-
 def _cmd_chars(args: argparse.Namespace) -> int:
     table = character_table(group_from_label(args.group))
     if args.format == "csv":
@@ -108,7 +103,6 @@ def _cmd_chars(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    _require_json(args)
     f = load_class_function(args.input)
     report = is_bent(f, args.tol)
     _emit(_dumps(report_to_json(report)), args.output)
@@ -116,11 +110,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    _require_json(args)
-    kind = SequenceKind(args.kind)
-    if kind is SequenceKind.QUADRATIC_CHIRP and args.root is not None:
+    if args.kind == SequenceKind.QUADRATIC_CHIRP and args.root is not None:
         raise ValueError(f"construct chirp takes no root, got {args.root}")
-    spec = SequenceSpec(kind=kind, length=args.n, root=1 if args.root is None else args.root)
+    spec = SequenceSpec(kind=args.kind, length=args.n, root=1 if args.root is None else args.root)
     certified = make_bent_cyclic(spec, args.tol)
     payload = class_function_to_json(certified.function)
     payload["report"] = report_to_json(certified.report)
@@ -129,15 +121,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from .search import SearchConfig, Strategy, result_to_json, run_search
+    from .search import SearchConfig, result_to_json, run_search
 
-    _require_json(args)
     config = SearchConfig(
         group=args.group,
         budget=args.budget,
         seed=args.seed,
         tol=args.tol,
-        strategy=Strategy(args.strategy),
+        strategy=args.strategy,
     )
     result = run_search(config)
     _emit(_dumps(result_to_json(result)), args.output)
@@ -147,7 +138,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
     from .ledger import build_ledger, ledger_to_json
 
-    _require_json(args)
     ledger = build_ledger(tol=args.tol, budget=args.budget, seed=args.seed)
     _emit(_dumps(ledger_to_json(ledger)), args.output)
     return 0 if ledger.passed else 1
@@ -179,7 +169,7 @@ class _Parser(argparse.ArgumentParser):
 
 #: Flags that go before or after the command: (option strings, keyword arguments).
 _GLOBAL_FLAGS = (
-    (("--tol",), {"type": float, "default": 1e-8, "help": "numeric tolerance"}),
+    (("--tol",), {"type": float, "default": DEFAULT_TOL, "help": "numeric tolerance"}),
     (("--seed",), {"type": int, "default": 0, "help": "RNG seed"}),
     (("--format",), {"choices": ("json", "csv"), "default": "json", "help": "output format"}),
     (("-o", "--output"), {"default": None, "help": "also write output to this file"}),
@@ -255,10 +245,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise ValueError(f"--tol must be a finite non-negative number, got {args.tol}")
+        _check_tol(args.tol, "--tol")
         if args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.format == "csv" and args.func is not _cmd_chars:
+            raise ValueError("csv output is only available for the chars command")
         return args.func(args)
     except (ValueError, OSError, RuntimeError, IndexError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bentness import BENT, NOT_UNIMODULAR, BentReport, _rounding_tol, is_bent
+from .bentness import BENT, NOT_UNIMODULAR, BentReport, _check_tol, _rounding_tol, is_bent
 from .characters import character_table
-from .class_functions import ClassFunction, from_coefficients, from_values
+from .class_functions import DEFAULT_TOL, ClassFunction, from_coefficients, from_values
 from .errors import CapabilityError, ConstructionError
 from .groups import make_cyclic
 
@@ -112,7 +112,7 @@ def _sequence(spec: SequenceSpec) -> np.ndarray:
     return quadratic_chirp(spec.length)
 
 
-def make_bent_cyclic(spec: SequenceSpec, tol: float = 1e-8) -> CertifiedFunction:
+def make_bent_cyclic(spec: SequenceSpec, tol: float = DEFAULT_TOL) -> CertifiedFunction:
     """Build the class function on Z_n with coefficients g/sqrt(n) and certify it.
 
     The self-check runs at ``max(tol, n^2 * 1e-15)``, and the report records
@@ -120,8 +120,10 @@ def make_bent_cyclic(spec: SequenceSpec, tol: float = 1e-8) -> CertifiedFunction
     through the character matrix, which moves them by up to about n^2 ulps,
     so a tighter check would measure that rounding, not the sequence.
     Results are memoized per ``(spec, tol)``; their arrays are read-only.
-    Raises ConstructionError if the self-check does not come back BENT.
+    Raises ValueError on a NaN, infinite or negative ``tol`` and
+    ConstructionError if the self-check does not come back BENT.
     """
+    _check_tol(tol)
     return _make_bent_cyclic(spec, tol)
 
 

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import CharacterTable, expand, project
+from .class_functions import DEFAULT_TOL
 
 __all__ = [
     "CriterionOutcome",
@@ -33,8 +34,6 @@ __all__ = [
     "solve_magnitude_system",
     "solve_q8_system",
 ]
-
-DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,14 @@ from .bentness import (
     _ROUNDING,
     BENT,
     NOT_UNIMODULAR,
+    _check_tol,
     _rounding_tol,
-    _sum_verdicts,
     derivative_sum,
     is_bent,
     oracle_verdicts,
 )
 from .characters import _REFERENCE_TABLES, CharacterTable, _class_sum_rows, character_table
-from .class_functions import ClassFunction, from_coefficients
+from .class_functions import DEFAULT_TOL, ClassFunction, from_coefficients
 from .constructions import (
     SequenceKind,
     SequenceSpec,
@@ -52,7 +52,7 @@ from .criteria import (
     solve_q8_system,
 )
 from .groups import make_cyclic, make_named
-from .search import SearchConfig, Strategy, _check_tol, run_search
+from .search import SearchConfig, Strategy, _check_count, run_search
 
 __all__ = ["LedgerEntry", "PaperLedger", "build_ledger", "ledger_to_json"]
 
@@ -253,7 +253,7 @@ def _claim_z2_counterexample(tol: float) -> tuple[str, float, str]:
 def _criterion_vs_oracle(table: CharacterTable, a: np.ndarray, tol: float) -> int:
     """Rows of a coefficient batch on which the Z_n criterion and the oracle disagree."""
     tol = _rounding_tol(tol, table.group.order)
-    bent, _ = _sum_verdicts(table, a @ table.phi.T, tol)
+    bent, _ = oracle_verdicts(table, a @ table.phi.T, tol)
     return int(np.sum(cyclic_satisfied(a, tol) != bent))
 
 
@@ -409,19 +409,20 @@ def _seed_free(claim: Callable[[float], LedgerEntry], tol: float) -> LedgerEntry
     return claim(tol)
 
 
-def build_ledger(tol: float = 1e-8, budget: int = DEFAULT_BUDGET, seed: int = 0) -> PaperLedger:
+def build_ledger(
+    tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET, seed: int = 0
+) -> PaperLedger:
     """Run every claim check and assemble the ledger, in the order listed here.
 
     The six seed-free claims are checked once per process and tolerance and
     reused by later builds; the seeded claims and both searches run on every
     build.  A budget of 0 skips the two search entries; a NaN, infinite or
-    negative tolerance and a negative budget or seed are rejected.
+    negative tolerance and a budget or seed that is not a non-negative integer
+    are rejected.
     """
     _check_tol(tol)
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_count("budget", budget, 0)
+    _check_count("seed", seed, 0)
     entries = (
         _seed_free(_claim_character_tables, tol),
         _seed_free(_claim_derivative_definition, tol),

@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bentness import BENT, BentReport, _row_max, is_bent, report_to_json
+from .bentness import BENT, BentReport, _check_tol, _row_max, is_bent, report_to_json
 from .characters import CharacterTable, character_table
-from .class_functions import _check_length, _pairs, from_coefficients
+from .class_functions import DEFAULT_TOL, _check_length, _pairs, from_coefficients
 from .constructions import quadratic_chirp, zadoff_chu
 from .groups import group_from_label
 
@@ -46,10 +46,13 @@ class Strategy(str, enum.Enum):
     RANDOM_PLUS_LOCAL = "random+local"
 
 
-def _check_tol(tol: float) -> None:
-    """Reject a NaN, infinite or negative tolerance."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite non-negative number, got {tol}")
+def _check_count(name: str, value: int, least: int) -> None:
+    """Reject a ``value`` that is not an integer of at least ``least`` (0 or 1);
+    a bool is no count, although ``operator.index`` takes one."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'at least 1' if least else 'non-negative'}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -59,19 +62,13 @@ class SearchConfig:
     group: str
     budget: int
     seed: int = 0
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
     strategy: Strategy = Strategy.RANDOM_PLUS_LOCAL
 
     def __post_init__(self) -> None:
-        for name in ("budget", "seed"):
-            value = getattr(self, name)
-            if not hasattr(type(value), "__index__"):  # what operator.index accepts
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_count("budget", self.budget, 1)
+        _check_count("seed", self.seed, 0)
         _check_tol(self.tol)
-        if self.budget < 1:
-            raise ValueError(f"budget must be at least 1, got {self.budget}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "strategy", Strategy(self.strategy))
 
 

@@ -32,7 +32,7 @@ from bentgroups import (
     spectrum,
     zadoff_chu,
 )
-from bentgroups.bentness import _row_max, _verdict
+from bentgroups.bentness import _passes, _row_max
 from bentgroups.characters import _FFT_ORDER
 
 from conftest import (
@@ -314,11 +314,17 @@ def test_oracle_verdicts_bit_identical_to_axis_max_form(label):
         assert flat.tobytes() == reference_flat.tobytes()
 
 
+def scalar_verdict(deviation, max_residual, n: int, tol: float) -> str:
+    """The verdict that ``_passes`` gives one row's deviation and residual as floats."""
+    unimodular, passed = _passes(float(deviation), float(max_residual), n, tol)
+    return BENT if passed else NOT_BENT if unimodular else NOT_UNIMODULAR
+
+
 @pytest.mark.parametrize("label", ["Z2", "Z5", "Z12", "V4", "S3", "Q8"])
 def test_oracle_verdicts_select_what_the_scalar_rule_gives(label):
-    """Row by row, the array comparisons give whether ``_verdict`` of the row's
-    deviation and residual is BENT, on batches with any mix of the three
-    verdicts and NaN rows."""
+    """Row by row, the array comparisons give whether ``_passes`` on the row's
+    deviation and residual as floats is BENT, on batches with any mix of the
+    three verdicts and NaN rows."""
     table = character_table(group_from_label(label))
     n = table.group.order
     functions = verdict_batch(table, np.random.default_rng(n + 11))
@@ -330,7 +336,7 @@ def test_oracle_verdicts_select_what_the_scalar_rule_gives(label):
     max_residual = np.max(residuals, axis=1, initial=0.0)
     kinds = {
         verdict: np.flatnonzero(
-            [_verdict(d, m, n, 1e-8) == verdict for d, m in zip(deviation, max_residual)]
+            [scalar_verdict(d, m, n, 1e-8) == verdict for d, m in zip(deviation, max_residual)]
         )
         for verdict in (BENT, NOT_BENT, NOT_UNIMODULAR)
     }
@@ -344,7 +350,31 @@ def test_oracle_verdicts_select_what_the_scalar_rule_gives(label):
         pairs = list(zip(np.max(deviations, axis=1), np.max(residuals, axis=1, initial=0.0)))
         for tol in (0.0, 1e-8, 0.5):
             bent, _ = oracle_verdicts(table, values[rows], tol)
-            assert bent.tolist() == [_verdict(d, m, n, tol) == BENT for d, m in pairs]
+            assert bent.tolist() == [scalar_verdict(d, m, n, tol) == BENT for d, m in pairs]
+
+
+@pytest.mark.parametrize("label", ["Z1", "Z3"])
+def test_a_nan_valued_function_is_not_unimodular_to_every_check(label):
+    """A NaN deviation fails the unimodular half of the one verdict rule."""
+    table = character_table(group_from_label(label))
+    values = np.full(table.group.order, complex(math.nan, 0.0))
+    f = from_values(table, values)
+    assert is_bent(f).verdict == NOT_UNIMODULAR
+    assert is_bent_spectral(f) is False
+    bent, flat = oracle_verdicts(table, values[None, :])
+    assert (bent.tolist(), flat.tolist()) == ([False], [False])
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_every_verdict_entry_rejects_a_tolerance_that_decides_nothing(z4_table, tol):
+    """At ``tol=inf`` is_bent called the constant 2 on Z4 BENT."""
+    f = from_values(z4_table, np.full(4, 2.0))
+    message = f"tol must be a finite non-negative number, got {tol}"
+    for check in (is_bent, is_bent_spectral,
+                  lambda f, tol: oracle_verdicts(f.table, f.values[None, :], tol)):
+        with pytest.raises(ValueError) as info:
+            check(f, tol)
+        assert str(info.value) == message
 
 
 def test_oracle_verdicts_share_the_rule_on_non_finite_values(z3_table):

@@ -470,6 +470,14 @@ def test_csv_rejected_outside_chars(capsys, tmp_path):
     assert "chars" in err
 
 
+@pytest.mark.parametrize("command", ["check", "construct", "search", "verify-paper"])
+def test_csv_outside_chars_is_one_error_line(capsys, command):
+    for argv in (COMMANDS[command] + ["--format", "csv"], ["--format", "csv"] + COMMANDS[command]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: csv output is only available for the chars command"]
+
+
 def test_every_claim_appears_once(capsys):
     _, out, _ = run_cli(capsys, "verify-paper", "--budget", "0")
     claims = [e["claim"] for e in json.loads(out)["entries"]]
@@ -537,6 +545,31 @@ def test_cold_commands_run_no_criteria_ledger_or_search_code(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[0, 0, 0, 0] []\n[0, 0] ['criteria', 'ledger', 'search']\n"
+
+
+def test_csv_search_is_rejected_before_criteria_ledger_or_search_run():
+    run = ("import contextlib, io, sys, types\nfrom bentgroups.cli import main\n"
+           "with contextlib.redirect_stderr(io.StringIO()):\n"
+           "    code = main(['--format', 'csv', 'search', '--group', 'S3', '--budget', '10'])\n"
+           "print(code, [name for name in ('criteria', 'ledger', 'search')\n"
+           "             if type(sys.modules[f'bentgroups.{name}']) is types.ModuleType])")
+    result = subprocess.run([sys.executable, "-c", run], env=_src_env(), capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "2 []\n"
+
+
+def test_private_and_dunder_lookups_on_the_package_run_no_lazy_module():
+    """Only public names can be lazy ones, so ``hasattr`` on a dunder that a
+    tool probes, or on a private name, must not run criteria, ledger or search."""
+    run = ("import sys, types\nimport bentgroups\n"
+           "print(hasattr(bentgroups, '__wrapped__'), hasattr(bentgroups, '_no_such_name'),\n"
+           "      [name for name in ('criteria', 'ledger', 'search')\n"
+           "       if type(sys.modules[f'bentgroups.{name}']) is types.ModuleType])")
+    result = subprocess.run([sys.executable, "-c", run], env=_src_env(), capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False False []\n"
 
 
 def test_importing_cli_by_name_runs_no_criteria_ledger_or_search_code():

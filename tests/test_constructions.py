@@ -190,6 +190,18 @@ def test_failed_self_check_names_its_measure_and_is_not_cached(
     assert make_bent_cyclic(spec, 3e-8).report.verdict == BENT
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_a_bad_tolerance_is_rejected_before_the_memo(tol):
+    """NaN raised a ConstructionError "failed its bentness self-check at tol
+    nan", and -1.0 certified silently at the rounding floor 2.5e-14."""
+    spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 5, 2)
+    misses = constructions_module._make_bent_cyclic.cache_info().misses
+    with pytest.raises(ValueError) as info:
+        make_bent_cyclic(spec, tol)
+    assert str(info.value) == f"tol must be a finite non-negative number, got {tol}"
+    assert constructions_module._make_bent_cyclic.cache_info().misses == misses
+
+
 def test_constructions_pass_cyclic_criterion():
     f = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5)).function
     assert cyclic_criterion(f.coefficients).satisfied

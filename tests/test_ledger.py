@@ -134,6 +134,20 @@ def test_negative_seed_is_rejected():
         build_ledger(budget=0, seed=-5)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("seed", True, "seed must be an integer, got True"),
+     ("seed", 2.5, "seed must be an integer, got 2.5"),
+     ("budget", 0.0, "budget must be an integer, got 0.0")],
+)
+def test_a_bool_or_float_count_is_rejected_as_search_config_rejects_it(field, value, message):
+    """At budget 0 no SearchConfig saw the seed: 2.5 raised numpy's TypeError
+    and True printed ``"seed": true``."""
+    with pytest.raises(ValueError) as info:
+        build_ledger(**{"budget": 0, field: value})
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
 def test_a_bad_tolerance_is_rejected(tol):
     message = f"tol must be a finite non-negative number, got {tol}"

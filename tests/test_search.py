@@ -79,6 +79,20 @@ def test_config_rejects_a_non_integer_budget_or_seed(field):
     assert str(info.value) == f"{field} must be an integer, got 2.5"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("seed", True, "seed must be an integer, got True"),
+     ("seed", 2.5, "seed must be an integer, got 2.5"),
+     ("budget", 0.0, "budget must be an integer, got 0.0")],
+)
+def test_config_rejects_a_bool_or_float_count(field, value, message):
+    """A bool passes ``operator.index`` but is no count: ``seed=True`` once
+    printed ``"seed": true``."""
+    with pytest.raises(ValueError) as info:
+        SearchConfig(**{"group": "S3", "budget": 50, field: value})
+    assert str(info.value) == message
+
+
 def test_objective_examples(z3_table):
     constant = np.zeros(3, dtype=complex)
     constant[0] = 1.0
