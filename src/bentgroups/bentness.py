@@ -189,18 +189,23 @@ def oracle_verdicts(
     NaN value is neither bent nor flat.
     """
     _check_tol(tol)
-    group = table.group
-    n = group.order
+    n = table.group.order
     v = np.asarray(values, dtype=complex)
     if v.ndim != 2 or v.shape[1] != n:
         raise ValueError(f"expected a (B, {n}) batch of values, got shape {v.shape}")
+    bent, deviation = _sum_verdicts(table, v, tol)
+    spectra = np.abs(v @ np.conj(table.phi)) ** 2 / np.square(table.degrees)
+    return bent, _passes(deviation, _row_max(np.abs(spectra - n)), n, tol)[1]
+
+
+def _sum_verdicts(table: CharacterTable, v: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """The derivative-sum half of :func:`oracle_verdicts` on a complex (B, n) batch:
+    whether each row is bent, and each row's largest deviation of ``|f|`` from 1."""
+    group, n = table.group, table.group.order
     deviation = _row_max(np.abs(np.abs(v) - 1.0))
     sums = (v[:, group.cayley] @ np.conj(v)[:, :, None])[:, :, 0]
     residuals = np.abs(sums[:, np.arange(n) != group.identity])
-    _, bent = _passes(deviation, _row_max(residuals, initial=0.0), n, tol)
-    spectra = np.abs(v @ np.conj(table.phi)) ** 2 / np.square(table.degrees)
-    _, flat = _passes(deviation, _row_max(np.abs(spectra - n)), n, tol)
-    return bent, flat
+    return _passes(deviation, _row_max(residuals, initial=0.0), n, tol)[1], deviation
 
 
 def report_to_json(report: BentReport) -> dict:

@@ -32,7 +32,7 @@ from bentgroups import (
     spectrum,
     zadoff_chu,
 )
-from bentgroups.bentness import _passes, _row_max
+from bentgroups.bentness import _row_max
 from bentgroups.characters import _FFT_ORDER
 
 from conftest import (
@@ -315,15 +315,17 @@ def test_oracle_verdicts_bit_identical_to_axis_max_form(label):
 
 
 def scalar_verdict(deviation, max_residual, n: int, tol: float) -> str:
-    """The verdict that ``_passes`` gives one row's deviation and residual as floats."""
-    unimodular, passed = _passes(float(deviation), float(max_residual), n, tol)
-    return BENT if passed else NOT_BENT if unimodular else NOT_UNIMODULAR
+    """The verdict rule on one row's deviation and residual as floats, written
+    out apart from the code under test: a NaN deviation is not unimodular."""
+    if not deviation <= tol:
+        return NOT_UNIMODULAR
+    return BENT if max_residual <= n * tol else NOT_BENT
 
 
 @pytest.mark.parametrize("label", ["Z2", "Z5", "Z12", "V4", "S3", "Q8"])
 def test_oracle_verdicts_select_what_the_scalar_rule_gives(label):
-    """Row by row, the array comparisons give whether ``_passes`` on the row's
-    deviation and residual as floats is BENT, on batches with any mix of the
+    """Row by row, the array comparisons give whether ``scalar_verdict`` on the
+    row's deviation and residual as floats is BENT, on batches with any mix of the
     three verdicts and NaN rows."""
     table = character_table(group_from_label(label))
     n = table.group.order

@@ -464,18 +464,13 @@ def test_zero_tol_stays_valid(capsys):
     assert (code, err) == (0, "")
 
 
-def test_csv_rejected_outside_chars(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "verify-paper", "--budget", "0", "--format", "csv")
-    assert code == 2
-    assert "chars" in err
-
-
-@pytest.mark.parametrize("command", ["check", "construct", "search", "verify-paper"])
-def test_csv_outside_chars_is_one_error_line(capsys, command):
-    for argv in (COMMANDS[command] + ["--format", "csv"], ["--format", "csv"] + COMMANDS[command]):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.splitlines() == ["error: csv output is only available for the chars command"]
+def test_csv_rejected_outside_chars(capsys):
+    for command in ("check", "construct", "search", "verify-paper"):
+        for argv in (COMMANDS[command] + ["--format", "csv"],
+                     ["--format", "csv"] + COMMANDS[command]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.splitlines() == ["error: csv output is only available for the chars command"]
 
 
 def test_every_claim_appears_once(capsys):
