@@ -11,13 +11,12 @@ unimodular and ``|n * a_i / d_i|^2 = n`` for every i.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .characters import CharacterTable, expand, project
-from .class_functions import DEFAULT_TOL, ClassFunction, _pairs, is_unimodular
+from .class_functions import DEFAULT_TOL, ClassFunction, _check_tol, _pairs, is_unimodular
 
 __all__ = [
     "BENT",
@@ -42,12 +41,6 @@ NOT_UNIMODULAR = "NOT_UNIMODULAR"
 #: up to about n^2 ulps (2.6e-14 on a Z12 Zadoff-Chu witness), so below this
 #: floor last-bit rounding, not bentness, decides a verdict.
 _ROUNDING = 1e-15
-
-
-def _check_tol(tol: float, name: str = "tol") -> None:
-    """Reject a NaN, infinite or negative tolerance, called ``name`` in the message."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"{name} must be a finite non-negative number, got {tol}")
 
 
 def _passes(deviation, worst, n: int, tol: float) -> tuple:
@@ -136,16 +129,15 @@ def derivative_sums(f: ClassFunction) -> np.ndarray:
 
 def is_bent(f: ClassFunction, tol: float = DEFAULT_TOL) -> BentReport:
     """Full bentness check; see :class:`BentReport` for the verdict rule."""
-    _check_tol(tol)
     group, table = f.group, f.table
-    n = group.order
-    _, deviation = is_unimodular(f, tol)
+    n, e = group.order, group.identity
+    _, deviation = is_unimodular(f, tol)  # rejects a NaN, infinite or negative tol
     sums = n * expand(table, np.abs(f.coefficients) ** 2 / np.asarray(table.degrees))
-    residuals = sums[np.arange(n) != group.identity]
-    max_residual = float(np.max(np.abs(residuals))) if n > 1 else 0.0
+    residuals = np.concatenate((sums[:e], sums[e + 1:]))
+    max_residual = float(np.abs(residuals).max()) if n > 1 else 0.0
     residuals.setflags(write=False)
     s = f.sync_residual
-    slack = n * s * (2.0 * float(np.max(np.abs(f.values))) + 3.0 * s)
+    slack = n * s * (2.0 * float(np.abs(f.values).max()) + 3.0 * s)
     unimodular, bent = _passes(deviation, max_residual + slack, n, tol)
     return BentReport(
         group=group.name,
@@ -171,10 +163,9 @@ def spectrum(f: ClassFunction) -> np.ndarray:
 
 def is_bent_spectral(f: ClassFunction, tol: float = DEFAULT_TOL) -> bool:
     """Equivalent check on any group: unimodular values and a flat spectrum."""
-    _check_tol(tol)
     n = f.group.order
-    ok, deviation = is_unimodular(f, tol)
-    return ok and _passes(deviation, float(np.max(np.abs(spectrum(f) - n))), n, tol)[1]
+    ok, deviation = is_unimodular(f, tol)  # rejects a NaN, infinite or negative tol
+    return ok and _passes(deviation, float(np.abs(spectrum(f) - n).max()), n, tol)[1]
 
 
 def oracle_verdicts(
@@ -201,10 +192,10 @@ def oracle_verdicts(
 def _sum_verdicts(table: CharacterTable, v: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """The derivative-sum half of :func:`oracle_verdicts` on a complex (B, n) batch:
     whether each row is bent, and each row's largest deviation of ``|f|`` from 1."""
-    group, n = table.group, table.group.order
+    group, n, e = table.group, table.group.order, table.group.identity
     deviation = _row_max(np.abs(np.abs(v) - 1.0))
     sums = (v[:, group.cayley] @ np.conj(v)[:, :, None])[:, :, 0]
-    residuals = np.abs(sums[:, np.arange(n) != group.identity])
+    residuals = np.abs(np.concatenate((sums[:, :e], sums[:, e + 1:]), axis=1))
     return _passes(deviation, _row_max(residuals, initial=0.0), n, tol)[1], deviation
 
 

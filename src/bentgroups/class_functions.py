@@ -40,6 +40,12 @@ DEFAULT_TOL = 1e-8
 SYNC_TOL = 1e-9
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Reject a NaN, infinite or negative tolerance, called ``name`` in the message."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be a finite non-negative number, got {tol}")
+
+
 @dataclass(frozen=True, eq=False)
 class ClassFunction:
     """A function constant on conjugacy classes, in two synced representations.
@@ -102,25 +108,27 @@ def from_values(table: CharacterTable, values: Sequence[complex]) -> ClassFuncti
     _check_length(group, v, "pointwise")
     a = project(table, v)
     dev = np.abs(expand(table, a) - v)
-    bound = SYNC_TOL * max(1.0, float(np.max(np.abs(v))))
-    if not group.is_abelian and np.any(dev > bound):  # else every class is a singleton
-        c = int(np.min(group.class_of[dev > bound]))
-        raise ValueError(
-            f"values are not constant on conjugacy class {c} (max deviation "
-            f"{np.max(dev[group.class_of == c]):.3e} exceeds {bound:.3e})"
-        )
+    if not group.is_abelian:  # else every class is a singleton
+        bound = SYNC_TOL * max(1.0, float(np.abs(v).max()))
+        if (dev > bound).any():
+            c = int(np.min(group.class_of[dev > bound]))
+            raise ValueError(
+                f"values are not constant on conjugacy class {c} (max deviation "
+                f"{np.max(dev[group.class_of == c]):.3e} exceeds {bound:.3e})"
+            )
     return ClassFunction(
         table=table,
         coefficients=_freeze(a),
         values=_freeze(v.copy()),
         basis="pointwise",
-        sync_residual=float(np.max(dev)),
+        sync_residual=float(dev.max()),
     )
 
 
 def is_unimodular(f: ClassFunction, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether every value lies on the unit circle, plus the max deviation."""
-    deviation = float(np.max(np.abs(np.abs(f.values) - 1.0)))
+    _check_tol(tol)
+    deviation = float(np.abs(np.abs(f.values) - 1.0).max())
     return deviation <= tol, deviation
 
 

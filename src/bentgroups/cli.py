@@ -30,9 +30,9 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence
 
-from .bentness import BENT, _check_tol, is_bent, report_to_json
+from .bentness import BENT, is_bent, report_to_json
 from .characters import _JSON_PAIR, character_table, table_to_csv, table_to_json
-from .class_functions import DEFAULT_TOL, class_function_to_json, load_class_function
+from .class_functions import DEFAULT_TOL, _check_tol, class_function_to_json, load_class_function
 from .constructions import SequenceKind, SequenceSpec, make_bent_cyclic
 from .groups import group_from_label
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bentness import BENT, NOT_UNIMODULAR, BentReport, _check_tol, _rounding_tol, is_bent
+from .bentness import BENT, NOT_UNIMODULAR, BentReport, _rounding_tol, is_bent
 from .characters import character_table
-from .class_functions import DEFAULT_TOL, ClassFunction, from_coefficients, from_values
+from .class_functions import DEFAULT_TOL, ClassFunction, _check_tol, from_coefficients, from_values
 from .errors import CapabilityError, ConstructionError
 from .groups import make_cyclic
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import CharacterTable, expand, project
-from .class_functions import DEFAULT_TOL
+from .class_functions import DEFAULT_TOL, _check_tol
 
 __all__ = [
     "CriterionOutcome",
@@ -76,6 +76,8 @@ class ImpossibilityCertificate:
 
 
 def _finalize(name: str, checks: list[tuple[str, float]], tol: float) -> CriterionOutcome:
+    """The outcome of ``checks``; a NaN, infinite or negative ``tol`` raises ValueError."""
+    _check_tol(tol)
     violations = tuple((label, float(res)) for label, res in checks if res > tol)
     return CriterionOutcome(
         name=name, satisfied=not violations, violations=violations, tol=tol
@@ -213,7 +215,8 @@ def cyclic_criterion(a: Sequence[complex], tol: float = DEFAULT_TOL) -> Criterio
 
 def cyclic_satisfied(a: Sequence[complex], tol: float = DEFAULT_TOL) -> np.ndarray:
     """``cyclic_criterion(row, tol).satisfied`` for every row of a (B, n) batch."""
-    return ~np.any(_cyclic_residuals(np.asarray(a, dtype=complex)) > tol, axis=-1)
+    _check_tol(tol)
+    return ~(_cyclic_residuals(np.asarray(a, dtype=complex)) > tol).any(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .bentness import (
     _ROUNDING,
     BENT,
     NOT_UNIMODULAR,
-    _check_tol,
     _rounding_tol,
     _sum_verdicts,
     derivative_sum,
@@ -30,7 +29,7 @@ from .bentness import (
     oracle_verdicts,
 )
 from .characters import _REFERENCE_TABLES, CharacterTable, _class_sum_rows, character_table
-from .class_functions import DEFAULT_TOL, ClassFunction, from_coefficients
+from .class_functions import DEFAULT_TOL, ClassFunction, _check_tol, from_coefficients
 from .constructions import (
     SequenceKind,
     SequenceSpec,
@@ -52,7 +51,7 @@ from .criteria import (
     solve_magnitude_system,
     solve_q8_system,
 )
-from .groups import make_cyclic, make_named
+from .groups import _freeze, make_cyclic, make_named
 from .search import SearchConfig, Strategy, _check_count, run_search
 
 __all__ = ["LedgerEntry", "PaperLedger", "build_ledger", "ledger_to_json"]
@@ -160,6 +159,16 @@ def _zadoff_chu(n: int, u: int) -> ClassFunction:
     return make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function
 
 
+@functools.lru_cache(maxsize=32)  # both fields on Z_2..Z_12 fit
+def _witness_rows(n: int, field: str) -> np.ndarray:
+    """The ``field`` ("coefficients" or "values") of every Zadoff-Chu witness
+    on Z_n, one read-only row per root coprime to n, root 1 first.  The rows
+    take no seed, so a process builds them once rather than looking each
+    witness up through :func:`make_bent_cyclic` on every build."""
+    units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+    return _freeze(np.array([getattr(_zadoff_chu(n, u), field) for u in units]))
+
+
 @_claim("character-tables",
         "the character tables of Z3, Z4, Z_n (omega-power rows), S3 and Q8 match the built-in "
         "references entrywise")
@@ -206,7 +215,8 @@ def _claim_bent_iff(tol: float, seed: int) -> tuple[str, float, str]:
     checked = 0
     for n in range(2, 9):
         table = character_table(make_cyclic(n))
-        values = np.vstack((np.exp(2j * np.pi * rng.random((120, n))), _zadoff_chu(n, 1).values))
+        random_values = np.exp(2j * np.pi * rng.random((120, n)))
+        values = np.vstack((random_values, _witness_rows(n, "values")[:1]))
         by_sums, by_spectrum = oracle_verdicts(table, values, _rounding_tol(tol, n))
         disagreements += int(np.sum(by_sums != by_spectrum))
         checked += len(values)
@@ -255,7 +265,7 @@ def _criterion_vs_oracle(table: CharacterTable, a: np.ndarray, tol: float) -> in
     """Rows of a coefficient batch on which the Z_n criterion and the oracle disagree."""
     tol = _rounding_tol(tol, table.group.order)
     bent, _ = _sum_verdicts(table, a @ table.phi.T, tol)
-    return int(np.sum(cyclic_satisfied(a, tol) != bent))
+    return int(np.count_nonzero(cyclic_satisfied(a, tol) != bent))
 
 
 @_claim("z3-z4-closed-forms",
@@ -267,7 +277,7 @@ def _claim_z3_z4(tol: float, seed: int) -> tuple[str, float, str]:
     disagreements = 0
     for n in (3, 4):
         table = character_table(make_cyclic(n))
-        a = np.vstack((_random_coefficients(rng, n, 200), _zadoff_chu(n, 1).coefficients))
+        a = np.vstack((_random_coefficients(rng, n, 200), _witness_rows(n, "coefficients")[:1]))
         printed = _printed_sums(a, _Z3_Z4_TERMS[n])
         lags = cyclic_lag_sums(a)[:, : printed.shape[1]]
         worst = _worst(worst, np.max(np.abs(printed - lags)))
@@ -286,9 +296,7 @@ def _claim_cyclic_general(tol: float, seed: int) -> tuple[str, float, str]:
     checked = 0
     for n in range(2, 13):
         table = character_table(make_cyclic(n))
-        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
-        witnesses = [_zadoff_chu(n, u).coefficients for u in units]
-        a = np.vstack((_random_coefficients(rng, n, 150), *witnesses))
+        a = np.vstack((_random_coefficients(rng, n, 150), _witness_rows(n, "coefficients")))
         disagreements += _criterion_vs_oracle(table, a, tol)
         checked += len(a)
     detail = f"criterion vs oracle on {checked} coefficient vectors, n = 2..12"

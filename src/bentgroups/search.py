@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bentness import BENT, BentReport, _check_tol, _row_max, is_bent, report_to_json
+from .bentness import BENT, BentReport, _row_max, is_bent, report_to_json
 from .characters import CharacterTable, character_table
-from .class_functions import DEFAULT_TOL, _check_length, _pairs, from_coefficients
+from .class_functions import DEFAULT_TOL, _check_length, _check_tol, _pairs, from_coefficients
 from .constructions import quadratic_chirp, zadoff_chu
 from .groups import group_from_label
 
@@ -122,12 +122,12 @@ def _probe_objective(table: CharacterTable, shifts: np.ndarray, a: np.ndarray) -
     scalar probe, so the probe stays scalar for speed.  Only the steps on real
     floats (``- 1``, ``abs``, ``max``) run in Python, where they round as numpy
     does; ``max`` returns NaN for a NaN coefficient, since every value and
-    every sum is then NaN.
+    every sum is then NaN.  The values are one gemv, ``phi.dot(a)``: it rounds
+    as ``a[None, :] @ phi.T`` does, at less call overhead.
     """
-    values = a[None, :] @ table.phi.T
-    v = values[0]
+    v = table.phi.dot(a)
     gap = max([abs(m - 1.0) for m in np.abs(v).tolist()])
-    sums = np.add.reduce(values.conj() * v.take(shifts), axis=-1)
+    sums = np.add.reduce(v.conj() * v.take(shifts), axis=-1)
     return max(np.abs(sums).tolist(), default=0.0) / len(v) + gap
 
 
@@ -185,15 +185,20 @@ def _golden_section(
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _rescale(mags: np.ndarray, i: int, t: float) -> np.ndarray:
-    """Unit-sum squared magnitudes with share i set to t and the rest scaled to match."""
+def _rescaler(mags: np.ndarray, i: int) -> Callable[[float], np.ndarray]:
+    """The map from t to unit-sum squared magnitudes with share i set to t and
+    the rest scaled to match; when the rest sum to at most 1e-15 they share
+    ``1 - t`` evenly (``ones * x`` is ``x`` exactly)."""
     others = 1.0 - float(mags[i])
-    if others > 1e-15:
+    if not others > 1e-15:
+        mags, others = np.ones(len(mags)), len(mags) - 1.0
+
+    def rescale(t: float) -> np.ndarray:
         m = mags * ((1.0 - t) / others)
-    else:
-        m = np.full(len(mags), (1.0 - t) / (len(mags) - 1))
-    m[i] = t
-    return m
+        m[i] = t
+        return m
+
+    return rescale
 
 
 class _Transcript:
@@ -280,9 +285,11 @@ def _refine(transcript: _Transcript, start: np.ndarray, local_budget: int) -> No
             theta0 = float(np.angle(a[i]))
             # a Python float: float * complex is the numpy product's bits, at half the cost
             radius = float(abs(a[i]))
+            # one probe buffer per coordinate: a probe that improves is copied
+            # into the transcript, and the line search's answer becomes ``a``
+            b = a.copy()
 
             def turned(theta: float) -> np.ndarray:
-                b = a.copy()
                 b[i] = radius * complex(math.cos(theta), math.sin(theta))
                 return b
 
@@ -294,10 +301,11 @@ def _refine(transcript: _Transcript, start: np.ndarray, local_budget: int) -> No
         phases = np.where(radii > 0, a / np.maximum(radii, 1e-300), 1.0)
         # a single coefficient's magnitude is pinned to 1 by the energy constraint
         for i in range(r if r > 1 else 0):
+            rescale = _rescaler(mags, i)
             # t lies in [0, 1], so every share is >= +0 and sqrt needs no clip
-            t = line_search(lambda t: np.sqrt(_rescale(mags, i, t)) * phases, 0.0, 1.0)
+            t = line_search(lambda t: np.sqrt(rescale(t)) * phases, 0.0, 1.0)
             if t is not None:
-                mags = _rescale(mags, i, t)
+                mags = rescale(t)
                 a, improved = np.sqrt(mags) * phases, True
 
 

@@ -23,6 +23,7 @@ from bentgroups import (
     group_from_label,
     impossibility_certificate,
     is_bent,
+    is_unimodular,
     klein_criterion,
     make_bent_cyclic,
     make_cyclic,
@@ -446,3 +447,22 @@ def test_s3_has_no_bent_function_among_character_sums(s3_table):
         a = flat_random_coefficients(rng, 3)
         assert is_bent(from_coefficients(s3_table, a)).verdict != BENT
 
+
+TOL_CHECKS = {
+    "is_unimodular": lambda a, tol: is_unimodular(
+        from_values(character_table(make_cyclic(4)), a), tol),
+    "cyclic_criterion": cyclic_criterion,
+    "klein_criterion": klein_criterion,
+    "abelian_magnitude_necessary": abelian_magnitude_necessary,
+    "cyclic_satisfied": lambda a, tol: cyclic_satisfied([a], tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+@pytest.mark.parametrize("name", TOL_CHECKS)
+def test_every_criterion_rejects_a_tolerance_that_decides_nothing(name, tol):
+    """At ``tol=inf`` the constant 2 on Z4 was unimodular and passed the
+    cyclic criterion; a NaN or negative tol failed every check."""
+    with pytest.raises(ValueError) as info:
+        TOL_CHECKS[name]([2.0, 2.0, 2.0, 2.0], tol)
+    assert str(info.value) == f"tol must be a finite non-negative number, got {tol}"

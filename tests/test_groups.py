@@ -631,7 +631,7 @@ def test_light_test_agrees_with_exhaustive_check(table):
 def _memos() -> list:
     return [
         obj
-        for module in (groups, characters, constructions)
+        for module in (groups, characters, constructions, ledger)
         for obj in vars(module).values()
         if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
     ]
@@ -648,7 +648,7 @@ def test_constructors_and_tables_are_memoized():
     spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5)
     assert make_bent_cyclic(spec) is make_bent_cyclic(spec, 1e-8)
     assert make_bent_cyclic(spec, 1e-6) is not make_bent_cyclic(spec)
-    assert len(_memos()) == 4
+    assert len(_memos()) == 6
     assert all(memo.cache_info().maxsize for memo in _memos())  # bounded
 
 
@@ -672,13 +672,15 @@ def test_memoized_arrays_stay_read_only():
 def test_ledger_is_identical_with_cold_and_warm_caches():
     for memo in _memos():
         memo.cache_clear()
-    # the seed-free claims run in both builds: cold, then on warm group and table memos
-    ledger._seed_free.cache_clear()
     assert character_table.cache_info().currsize == 0
     cold = json.dumps(ledger_to_json(build_ledger(budget=300)), indent=2)
+    built = ledger._witness_rows.cache_info().misses
+    # the seed-free claims run in both builds: cold, then on warm group and table memos
     ledger._seed_free.cache_clear()
     warm = json.dumps(ledger_to_json(build_ledger(budget=300)), indent=2)
     assert ledger._seed_free.cache_info().misses == 6
     assert character_table.cache_info().hits > 0
-    assert constructions._make_bent_cyclic.cache_info().hits > 0
+    # the warm build reads every witness row from the memo the cold one filled
+    assert ledger._witness_rows.cache_info().misses == built
+    assert ledger._witness_rows.cache_info().hits > 0
     assert cold == warm

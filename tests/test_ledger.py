@@ -35,6 +35,7 @@ from bentgroups import (
     make_named,
     oracle_verdicts,
 )
+from bentgroups import constructions
 from bentgroups.characters import _REFERENCE_TABLES
 from bentgroups.criteria import _Z3_Z4_TERMS, _printed_sums
 from bentgroups.search import SearchConfig, Strategy
@@ -442,10 +443,11 @@ def test_abelian_necessary_claim_agrees_with_its_criterion_below_rounding():
     assert entry.status == "FAIL" and 0.0 < entry.metric < 1e-15
 
 
-@pytest.mark.parametrize("tol, forced_tol", [(1e-8, -1.0), (1e-30, math.inf)])
+@pytest.mark.parametrize("tol, forced_tol", [(1e-8, 0.0), (1e-30, 1.0)])
 def test_abelian_necessary_claim_fails_when_the_criterion_disagrees(monkeypatch, tol, forced_tol):
-    """A criterion that reports every witness violated at a tolerance they all
-    meet, or every one satisfied at one some of them miss, fails the claim."""
+    """A criterion that reports the witnesses with rounding-sized deviations
+    violated at a tolerance they all meet, or every one satisfied at one some
+    of them miss, fails the claim."""
     monkeypatch.setattr(
         ledger_module, "abelian_magnitude_necessary",
         lambda a, tol: abelian_magnitude_necessary(a, forced_tol),
@@ -577,6 +579,23 @@ def test_sampler_rows_have_their_style_and_repeat_per_seed(n):
         np.testing.assert_allclose(np.sum(np.abs(a[2::3]) ** 2, axis=1), 1.0, rtol=0, atol=1e-15)
         again = ledger_module._random_coefficients(np.random.default_rng([n, count]), n, count)
         assert a.tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_witness_rows_are_read_only_fresh_constructions(n):
+    """The memoized rows hold, bit for bit, what an uncached ``make_bent_cyclic``
+    builds for every root coprime to n, in ascending order."""
+    build = constructions._make_bent_cyclic.__wrapped__
+    units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+    for field in ("coefficients", "values"):
+        rows = ledger_module._witness_rows(n, field)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+        fresh = [getattr(build(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u), 1e-8).function, field)
+                 for u in units]
+        assert rows.shape == (len(units), n)
+        assert rows.tobytes() == np.array(fresh).tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -278,7 +278,7 @@ def test_probe_scorer_is_bit_identical_to_sigma_loop(label):
         assert objective(table, a) == _loop_objective(table, a)
 
 
-PROBE_GROUPS = ["S3", "Q8", "D4", "Z6", "V4"]
+PROBE_GROUPS = ["S3", "Q8", "D4", "Z6", "V4", "Z2xZ4", "Z12"]
 
 
 @pytest.mark.parametrize("label", PROBE_GROUPS)
@@ -311,7 +311,7 @@ def test_search_is_identical_with_the_reference_probe(monkeypatch, label, strate
 
 
 def _reference_rescale(mags, i, t):
-    """``search._rescale`` with its share sum on numpy scalars."""
+    """``search._rescaler(mags, i)(t)`` with its share sum on numpy scalars."""
     others = 1.0 - mags[i]
     if others > 1e-15:
         m = mags * ((1.0 - t) / others)
@@ -319,6 +319,18 @@ def _reference_rescale(mags, i, t):
         m = np.full(len(mags), (1.0 - t) / (len(mags) - 1))
     m[i] = t
     return m
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_rescaler_is_bit_identical_to_reference_rescale(r):
+    """Also where the other shares sum to at most 1e-15 and share 1 - t evenly."""
+    rng = np.random.default_rng(r)
+    degenerate = [np.eye(r)[0], np.array([1.0 - 1e-16, 1e-16, *[0.0] * (r - 2)])]
+    for mags in [*degenerate, *rng.dirichlet(np.ones(r), size=50)]:
+        for i in range(r):
+            rescale = search_module._rescaler(mags, i)
+            for t in (0.0, 1.0, *rng.random(4)):
+                assert rescale(t).tobytes() == _reference_rescale(mags, i, t).tobytes()
 
 
 def _evaluate(transcript, a):
