@@ -17,6 +17,7 @@ import numpy as np
 
 from .characters import CharacterTable, expand, project
 from .class_functions import DEFAULT_TOL, ClassFunction, _check_tol, _pairs, is_unimodular
+from .groups import _check_element
 
 __all__ = [
     "BENT",
@@ -111,13 +112,7 @@ class BentReport:
 
 def derivative_sum(f: ClassFunction, sigma: int) -> complex:
     """Sum of conj(f(x)) * f(sigma x) over all x, in ascending element order."""
-    group = f.group
-    sigma = int(sigma)
-    if not 0 <= sigma < group.order:
-        raise IndexError(
-            f"direction index {sigma} out of range for group of order {group.order}"
-        )
-    shifted = f.values[group.cayley[sigma]]
+    shifted = f.values[f.group.cayley[_check_element(f.group, sigma)]]
     return complex(np.sum(np.conj(f.values) * shifted))
 
 

@@ -12,7 +12,6 @@ does not certify.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .bentness import BENT, NOT_UNIMODULAR, BentReport, _rounding_tol, is_bent
 from .characters import character_table
 from .class_functions import DEFAULT_TOL, ClassFunction, _check_tol, from_coefficients, from_values
 from .errors import CapabilityError, ConstructionError
-from .groups import make_cyclic
+from .groups import _check_element, _check_integer, make_cyclic
 
 __all__ = [
     "CertifiedFunction",
@@ -44,6 +43,8 @@ class SequenceKind(str, enum.Enum):
 
 def _check_sequence(kind: SequenceKind, length: int, root: int = 1) -> None:
     """The one validator of SequenceSpec, zadoff_chu and quadratic_chirp arguments."""
+    _check_integer("sequence length", length)
+    _check_integer("sequence root", root)
     if length < 1:
         raise ValueError(f"sequence length must be positive, got {length}")
     if not isinstance(kind, SequenceKind):
@@ -119,16 +120,11 @@ def make_bent_cyclic(spec: SequenceSpec, tol: float = DEFAULT_TOL) -> CertifiedF
     that tolerance: the checked values are recomputed from the coefficients
     through the character matrix, which moves them by up to about n^2 ulps,
     so a tighter check would measure that rounding, not the sequence.
-    Results are memoized per ``(spec, tol)``; their arrays are read-only.
-    Raises ValueError on a NaN, infinite or negative ``tol`` and
-    ConstructionError if the self-check does not come back BENT.
+    The result's arrays are read-only.  Raises ValueError on a NaN, infinite
+    or negative ``tol`` and ConstructionError if the self-check does not come
+    back BENT.
     """
     _check_tol(tol)
-    return _make_bent_cyclic(spec, tol)
-
-
-@functools.lru_cache(maxsize=128)
-def _make_bent_cyclic(spec: SequenceSpec, tol: float) -> CertifiedFunction:
     n = spec.length
     table = character_table(make_cyclic(n))
     coefficients = _sequence(spec) / math.sqrt(n)
@@ -159,18 +155,13 @@ def global_phase(f: ClassFunction, c: complex) -> ClassFunction:
 
 def translate(f: ClassFunction, tau: int) -> ClassFunction:
     """Left-translate the argument: x -> f(tau x)."""
-    group = f.group
-    tau = int(tau)
-    if not 0 <= tau < group.order:
-        raise IndexError(
-            f"translation index {tau} out of range for group of order {group.order}"
-        )
-    return from_values(f.table, f.values[group.cayley[tau]])
+    return from_values(f.table, f.values[f.group.cayley[_check_element(f.group, tau)]])
 
 
 def character_twist(f: ClassFunction, i: int) -> ClassFunction:
     """Multiply pointwise by the i-th character (0-based, one-dimensional only)."""
     table = f.table
+    i = _check_integer("character index", i)
     if not 0 <= i < table.n_irreps:
         raise IndexError(f"character index {i} out of range for {table.n_irreps} irreps")
     if table.degrees[i] != 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -132,6 +133,20 @@ class Group:
 
 # ---------------------------------------------------------------------------
 # validation helpers
+
+
+def _check_integer(name: str, value: int) -> int:
+    """``value`` as an int; a bool is no integer here, although
+    ``operator.index`` takes one, and a float is rejected, not truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _check_count(name: str, value: int, least: int) -> None:
+    """Reject a ``value`` that is not an integer of at least ``least`` (0 or 1)."""
+    if _check_integer(name, value) < least:
+        raise ValueError(f"{name} must be {'at least 1' if least else 'non-negative'}, got {value}")
 
 
 def _check_cayley(cayley: np.ndarray) -> None:
@@ -261,7 +276,7 @@ def make_abelian(factors: Iterable[int]) -> Group:
     fastest, and the name ``"(t_1,..,t_k)"``; a single factor names its
     elements ``"0" .. "n-1"``.  Memoized by the factor tuple.
     """
-    return _make_abelian(tuple(int(m) for m in factors))
+    return _make_abelian(tuple(_check_integer("cyclic factor size", m) for m in factors))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -383,7 +398,7 @@ def group_from_label(label: str) -> Group:
 
 
 def _check_element(group: Group, x: int) -> int:
-    x = int(x)
+    x = _check_integer("element index", x)
     if not 0 <= x < group.order:
         raise IndexError(f"element index {x} out of range for group of order {group.order}")
     return x

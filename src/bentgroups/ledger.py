@@ -51,8 +51,8 @@ from .criteria import (
     solve_magnitude_system,
     solve_q8_system,
 )
-from .groups import _freeze, make_cyclic, make_named
-from .search import SearchConfig, Strategy, _check_count, run_search
+from .groups import _check_count, _freeze, make_cyclic, make_named
+from .search import SearchConfig, Strategy, run_search
 
 __all__ = ["LedgerEntry", "PaperLedger", "build_ledger", "ledger_to_json"]
 
@@ -94,14 +94,6 @@ class PaperLedger:
 
 def _gate(metric: float, tol: float) -> str:
     return PASS if metric <= tol else FAIL
-
-
-def _worst(*metrics: float) -> float:
-    """The largest metric, the last of equal ones as in ``np.max`` (which sets the
-    sign of a zero); NaN if any is NaN, where ``max`` keeps a number before a NaN."""
-    if any(map(math.isnan, metrics)):
-        return math.nan
-    return float(max(reversed(metrics)))
 
 
 def _floor_note(tol: float, n_max: int) -> str:
@@ -159,14 +151,14 @@ def _zadoff_chu(n: int, u: int) -> ClassFunction:
     return make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function
 
 
-@functools.lru_cache(maxsize=32)  # both fields on Z_2..Z_12 fit
-def _witness_rows(n: int, field: str) -> np.ndarray:
-    """The ``field`` ("coefficients" or "values") of every Zadoff-Chu witness
-    on Z_n, one read-only row per root coprime to n, root 1 first.  The rows
-    take no seed, so a process builds them once rather than looking each
-    witness up through :func:`make_bent_cyclic` on every build."""
-    units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
-    return _freeze(np.array([getattr(_zadoff_chu(n, u), field) for u in units]))
+@functools.lru_cache(maxsize=16)  # Z_2..Z_12 fit
+def _witness_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients and the values of every Zadoff-Chu witness on Z_n, one
+    read-only row per root coprime to n, root 1 first.  The rows take no seed,
+    so a process certifies each witness once rather than on every build."""
+    witnesses = [_zadoff_chu(n, u) for u in range(1, n + 1) if math.gcd(u, n) == 1]
+    return (_freeze(np.array([f.coefficients for f in witnesses])),
+            _freeze(np.array([f.values for f in witnesses])))
 
 
 @_claim("character-tables",
@@ -179,13 +171,13 @@ def _claim_character_tables(tol: float) -> tuple[str, float, str]:
         k = np.arange(n)
         # row i is omega^(i*k); the matrix of all rows is symmetric, so it is phi's layout
         rows = np.exp(2j * np.pi * ((k[:, None] * k) % n) / n)
-        worst = _worst(worst, np.max(np.abs(table.phi - rows)))
+        worst = float(np.max(np.abs(table.phi - rows), initial=worst))
     for name in ("S3", "Q8"):
         # each exact row against its nearest class-sum row; no two may share one
         rows = _class_sum_rows(make_named(name))
         dist = np.max(np.abs(np.round(_REFERENCE_TABLES[name])[:, None] - rows), axis=2)
         nearest = np.argmin(dist, axis=1)
-        worst = _worst(worst, np.max(dist[np.arange(len(rows)), nearest]))
+        worst = float(np.max(dist[np.arange(len(rows)), nearest], initial=worst))
         if len(set(nearest.tolist())) < len(rows):
             worst = math.inf
     return _gate(worst, tol), worst, "max entrywise deviation across analytic and class-sum routes"
@@ -200,8 +192,9 @@ def _claim_derivative_definition(tol: float) -> tuple[str, float, str]:
     omega = complex(table.phi[1, 1])
     report = is_bent(chi2, tol)
     bent5 = _zadoff_chu(5, 2)
-    worst = _worst(abs(derivative_sum(chi2, 1) - 3.0 * omega), abs(derivative_sum(chi2, 0) - 3.0),
-                   abs(derivative_sum(bent5, 0) - 5.0), abs(report.max_residual - 3.0))
+    worst = float(np.max((abs(derivative_sum(chi2, 1) - 3.0 * omega),
+                          abs(derivative_sum(chi2, 0) - 3.0), abs(derivative_sum(bent5, 0) - 5.0),
+                          abs(report.max_residual - 3.0))))
     detail = "checked chi_2 on Z3 (D(1) = 3*omega, |D| = 3) and a bent witness on Z5"
     return _gate(worst, tol), worst, detail
 
@@ -216,7 +209,7 @@ def _claim_bent_iff(tol: float, seed: int) -> tuple[str, float, str]:
     for n in range(2, 9):
         table = character_table(make_cyclic(n))
         random_values = np.exp(2j * np.pi * rng.random((120, n)))
-        values = np.vstack((random_values, _witness_rows(n, "values")[:1]))
+        values = np.vstack((random_values, _witness_rows(n)[1][:1]))
         by_sums, by_spectrum = oracle_verdicts(table, values, _rounding_tol(tol, n))
         disagreements += int(np.sum(by_sums != by_spectrum))
         checked += len(values)
@@ -232,12 +225,12 @@ def _claim_abelian_necessary(tol: float) -> tuple[str, float, str]:
     for n in range(2, 17):
         bent = _zadoff_chu(n, 1)
         deviation = float(np.max(np.abs(np.abs(bent.coefficients) ** 2 - 1.0 / n)))
-        worst = _worst(worst, deviation)
+        worst = float(np.max((worst, deviation)))
         # the criterion must decide the witness as its own deviation does
         if abelian_magnitude_necessary(bent.coefficients, tol).satisfied != (deviation <= tol):
             worst = math.inf
         w, residual = solve_magnitude_system(bent.table)
-        worst = _worst(worst, residual, np.max(np.abs(w - 1.0 / n)))
+        worst = float(np.max((worst, residual, np.max(np.abs(w - 1.0 / n)))))
     detail = "Zadoff-Chu witnesses on Z_2..Z_16 plus the Phi-system round trip"
     return _gate(worst, tol), worst, detail
 
@@ -250,11 +243,11 @@ def _claim_z2_counterexample(tol: float) -> tuple[str, float, str]:
     f = from_coefficients(table, np.array([1.0, 1.0]) / math.sqrt(2.0))
     report = is_bent(f, tol)
     # values are (sqrt(2), 0), so the max deviation from the unit circle is 1
-    worst = _worst(
+    worst = float(np.max((
         abs(abs(complex(f.values[0])) - math.sqrt(2.0)),
         abs(complex(f.values[1])),
         abs(report.unimodular_deviation - 1.0),
-    )
+    )))
     if report.verdict != NOT_UNIMODULAR:
         worst = math.inf
     detail = f"verdict {report.verdict}, deviation {report.unimodular_deviation:.6f}"
@@ -277,10 +270,10 @@ def _claim_z3_z4(tol: float, seed: int) -> tuple[str, float, str]:
     disagreements = 0
     for n in (3, 4):
         table = character_table(make_cyclic(n))
-        a = np.vstack((_random_coefficients(rng, n, 200), _witness_rows(n, "coefficients")[:1]))
+        a = np.vstack((_random_coefficients(rng, n, 200), _witness_rows(n)[0][:1]))
         printed = _printed_sums(a, _Z3_Z4_TERMS[n])
         lags = cyclic_lag_sums(a)[:, : printed.shape[1]]
-        worst = _worst(worst, np.max(np.abs(printed - lags)))
+        worst = float(np.max(np.abs(printed - lags), initial=worst))
         disagreements += _criterion_vs_oracle(table, a, tol)
     metric = worst + disagreements
     detail = f"printed sums vs lag sums plus oracle agreement ({disagreements} disagreements)"
@@ -296,7 +289,7 @@ def _claim_cyclic_general(tol: float, seed: int) -> tuple[str, float, str]:
     checked = 0
     for n in range(2, 13):
         table = character_table(make_cyclic(n))
-        a = np.vstack((_random_coefficients(rng, n, 150), _witness_rows(n, "coefficients")))
+        a = np.vstack((_random_coefficients(rng, n, 150), _witness_rows(n)[0]))
         disagreements += _criterion_vs_oracle(table, a, tol)
         checked += len(a)
     detail = f"criterion vs oracle on {checked} coefficient vectors, n = 2..12"
@@ -353,7 +346,7 @@ def _claim_impossibility_certificate(tol: float) -> tuple[str, float, str]:
     findings = []
     for name in ("S3", "Q8", "D4"):
         cert = impossibility_certificate(character_table(make_named(name)))
-        worst = _worst(worst, cert.residual)
+        worst = float(np.max((worst, cert.residual)))
         if not cert.violated or cert.margin <= cert.residual:
             worst = math.inf
         findings.extend(
@@ -370,8 +363,7 @@ def _claim_impossibility_certificate(tol: float) -> tuple[str, float, str]:
 def _claim_q8_system(tol: float) -> tuple[str, float, str]:
     m, residual = solve_q8_system()
     targets = np.array([2.0, 2.0, 2.0, 2.0, 1.0]) / 9.0
-    worst = float(np.max(np.abs(m - targets)))
-    worst = _worst(worst, residual, *q8_equation_residuals(m))
+    worst = float(np.max((np.max(np.abs(m - targets)), residual, *q8_equation_residuals(m))))
     detail = (
         "solved the printed linear system and re-evaluated each equation; the closed form "
         "D(x)/n = sum_i |a_i|^2 chi_i(x)/d_i derives (1/8, 1/8, 1/8, 1/8, 1/2) instead, at "

@@ -23,7 +23,7 @@ from .bentness import BENT, BentReport, _row_max, is_bent, report_to_json
 from .characters import CharacterTable, character_table
 from .class_functions import DEFAULT_TOL, _check_length, _check_tol, _pairs, from_coefficients
 from .constructions import quadratic_chirp, zadoff_chu
-from .groups import group_from_label
+from .groups import _check_count, group_from_label
 
 __all__ = [
     "SearchConfig",
@@ -44,15 +44,6 @@ _GOLDEN_ITERS = 48
 class Strategy(str, enum.Enum):
     RANDOM = "random"
     RANDOM_PLUS_LOCAL = "random+local"
-
-
-def _check_count(name: str, value: int, least: int) -> None:
-    """Reject a ``value`` that is not an integer of at least ``least`` (0 or 1);
-    a bool is no count, although ``operator.index`` takes one."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be {'at least 1' if least else 'non-negative'}, got {value}")
 
 
 @dataclass(frozen=True)

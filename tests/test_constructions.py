@@ -135,7 +135,9 @@ def test_spec_rejects_an_unknown_kind():
 def test_spec_takes_a_valid_kind_string_as_its_enum_member(kind, n, root):
     spec = SequenceSpec(kind, n, root)
     assert spec.kind is SequenceKind(kind)  # the builder tells the kinds apart with ``is``
-    assert make_bent_cyclic(spec) is make_bent_cyclic(SequenceSpec(SequenceKind(kind), n, root))
+    coefficients = make_bent_cyclic(spec).function.coefficients
+    same = make_bent_cyclic(SequenceSpec(SequenceKind(kind), n, root)).function.coefficients
+    assert coefficients.tobytes() == same.tobytes()
 
 
 def test_make_bent_cyclic_certifies():
@@ -191,15 +193,18 @@ def test_failed_self_check_names_its_measure_and_is_not_cached(
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
-def test_a_bad_tolerance_is_rejected_before_the_memo(tol):
+def test_a_bad_tolerance_is_rejected_before_any_build(monkeypatch, tol):
     """NaN raised a ConstructionError "failed its bentness self-check at tol
     nan", and -1.0 certified silently at the rounding floor 2.5e-14."""
     spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 5, 2)
-    misses = constructions_module._make_bent_cyclic.cache_info().misses
+
+    def no_build(group):
+        raise AssertionError("a character table was built before the tol check")
+
+    monkeypatch.setattr(constructions_module, "character_table", no_build)
     with pytest.raises(ValueError) as info:
         make_bent_cyclic(spec, tol)
     assert str(info.value) == f"tol must be a finite non-negative number, got {tol}"
-    assert constructions_module._make_bent_cyclic.cache_info().misses == misses
 
 
 def test_constructions_pass_cyclic_criterion():

@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 from bentgroups import (
     CATALOG,
     CapabilityError,
+    ClassFunction,
     Group,
     SequenceKind,
     SequenceSpec,
     build_ledger,
     character_table,
+    character_twist,
+    derivative_sum,
     element_order,
     group_from_json,
     group_from_label,
@@ -32,6 +35,9 @@ from bentgroups import (
     make_cyclic,
     make_named,
     multiply,
+    quadratic_chirp,
+    translate,
+    zadoff_chu,
 )
 from bentgroups import characters, constructions, groups, ledger
 from conftest import (
@@ -374,6 +380,84 @@ def test_multiply_inverse_helpers():
     assert element_order(g, 1) == 7
 
 
+# ---------------------------------------------------------------------------
+# integer arguments: one rule, in groups, behind every entry point
+
+
+def _z8() -> ClassFunction:
+    return make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 8, 3)).function
+
+
+#: each entry point with one integer argument replaced, and the name its message gives
+INTEGER_ARGUMENTS = [
+    pytest.param(make_cyclic, "cyclic factor size", id="make_cyclic"),
+    pytest.param(lambda v: make_abelian([v, 2]), "cyclic factor size", id="make_abelian"),
+    pytest.param(lambda v: zadoff_chu(v, 1), "sequence length", id="zadoff_chu-length"),
+    pytest.param(lambda v: zadoff_chu(5, v), "sequence root", id="zadoff_chu-root"),
+    pytest.param(quadratic_chirp, "sequence length", id="quadratic_chirp"),
+    pytest.param(lambda v: SequenceSpec("chirp", v), "sequence length", id="spec-length"),
+    pytest.param(lambda v: SequenceSpec("zadoff-chu", 5, v), "sequence root", id="spec-root"),
+    pytest.param(lambda v: derivative_sum(_z8(), v), "element index", id="derivative_sum"),
+    pytest.param(lambda v: translate(_z8(), v), "element index", id="translate"),
+    pytest.param(lambda v: multiply(make_cyclic(8), v, 1), "element index", id="multiply-left"),
+    pytest.param(lambda v: multiply(make_cyclic(8), 1, v), "element index", id="multiply-right"),
+    pytest.param(lambda v: inverse(make_cyclic(8), v), "element index", id="inverse"),
+    pytest.param(lambda v: element_order(make_cyclic(8), v), "element index", id="element_order"),
+    pytest.param(lambda v: character_twist(_z8(), v), "character index", id="character_twist"),
+]
+
+
+@pytest.mark.parametrize("value", [1.5, True, np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("call, name", INTEGER_ARGUMENTS)
+def test_a_non_integer_argument_is_rejected(call, name, value):
+    """Each entry point truncated a float (``make_cyclic(4.7)`` was Z4,
+    ``derivative_sum(f, 1.5)`` read sigma = 1) and read True as 1, except
+    ``character_twist``, which raised a bare TypeError on a float."""
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_numpy_integer_arguments_act_as_ints():
+    assert make_cyclic(np.int64(12)) is make_cyclic(12)
+    assert make_abelian([np.int64(2), np.int32(4)]) is make_abelian([2, 4])
+    assert zadoff_chu(np.int64(9), np.int64(2)).tobytes() == zadoff_chu(9, 2).tobytes()
+    assert quadratic_chirp(np.int64(9)).tobytes() == quadratic_chirp(9).tobytes()
+    spec = SequenceSpec(SequenceKind.ZADOFF_CHU, np.int64(8), np.int64(3))
+    f = make_bent_cyclic(spec).function
+    assert f.coefficients.tobytes() == _z8().coefficients.tobytes()
+    q8 = make_named("Q8")
+    for x in range(8):
+        i = np.int64(x)
+        assert derivative_sum(f, i) == derivative_sum(f, x)
+        assert translate(f, i).values.tobytes() == translate(f, x).values.tobytes()
+        assert character_twist(f, i).values.tobytes() == character_twist(f, x).values.tobytes()
+        assert (multiply(q8, i, 3), multiply(q8, 3, i), inverse(q8, i), element_order(q8, i)) == (
+            multiply(q8, x, 3), multiply(q8, 3, x), inverse(q8, x), element_order(q8, x))
+
+
+_OUT_OF_Z8 = "element index {} out of range for group of order 8"
+
+
+@pytest.mark.parametrize("x", [-1, 8, np.int64(-1), np.int64(8)], ids=repr)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda x: derivative_sum(_z8(), x), _OUT_OF_Z8, id="derivative_sum"),
+        pytest.param(lambda x: translate(_z8(), x), _OUT_OF_Z8, id="translate"),
+        pytest.param(lambda x: multiply(make_cyclic(8), x, 1), _OUT_OF_Z8, id="multiply"),
+        pytest.param(lambda x: inverse(make_cyclic(8), x), _OUT_OF_Z8, id="inverse"),
+        pytest.param(lambda x: element_order(make_cyclic(8), x), _OUT_OF_Z8, id="element_order"),
+        pytest.param(lambda x: character_twist(_z8(), x),
+                     "character index {} out of range for 8 irreps", id="character_twist"),
+    ],
+)
+def test_an_integer_out_of_range_raises_index_error(call, message, x):
+    with pytest.raises(IndexError) as info:
+        call(x)
+    assert str(info.value) == message.format(x)
+
+
 def test_groups_are_immutable():
     g = make_cyclic(4)
     assert isinstance(g, Group)
@@ -645,10 +729,7 @@ def test_constructors_and_tables_are_memoized():
     assert make_named("Q8") is group_from_label("q8")
     assert make_named("s3") is make_named("S3")
     assert character_table(g) is character_table(g)
-    spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5)
-    assert make_bent_cyclic(spec) is make_bent_cyclic(spec, 1e-8)
-    assert make_bent_cyclic(spec, 1e-6) is not make_bent_cyclic(spec)
-    assert len(_memos()) == 6
+    assert len(_memos()) == 5
     assert all(memo.cache_info().maxsize for memo in _memos())  # bounded
 
 
@@ -661,7 +742,6 @@ def test_memoized_arrays_stay_read_only():
             with pytest.raises(ValueError):
                 arr[0] = 0
     certified = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5))
-    assert certified is make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5))
     for arr in (certified.function.values, certified.function.coefficients,
                 certified.report.residuals):
         assert not arr.flags.writeable

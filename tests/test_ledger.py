@@ -35,7 +35,6 @@ from bentgroups import (
     make_named,
     oracle_verdicts,
 )
-from bentgroups import constructions
 from bentgroups.characters import _REFERENCE_TABLES
 from bentgroups.criteria import _Z3_Z4_TERMS, _printed_sums
 from bentgroups.search import SearchConfig, Strategy
@@ -374,26 +373,6 @@ def test_a_duplicated_class_sum_row_fails_the_character_tables_claim(monkeypatch
     assert (entry.status, entry.metric, metric) == ("FAIL", math.inf, None)
 
 
-def test_worst_propagates_nan():
-    assert ledger_module._worst(1.0, 2.0, 0.5) == 2.0
-    assert ledger_module._worst(math.inf, 1.0) == math.inf
-    for metrics in ((0.0, math.nan), (math.nan, 0.0), (0.0, np.float64(math.nan), 1.0)):
-        assert math.isnan(ledger_module._worst(*metrics)), metrics
-    assert ledger_module._gate(ledger_module._worst(0.0, math.nan), 1e-8) == "FAIL"
-    rng = np.random.default_rng(202)
-    pool = [0.0, -0.0, 1.0, 2.5e-16, math.inf, np.float64(0.0), np.float64(-0.0),
-            np.float64(1.0), np.float64(math.inf)]
-    for _ in range(2000):
-        metrics = tuple(pool[j] for j in rng.integers(0, len(pool), int(rng.integers(1, 8))))
-        want = np.float64(np.max(metrics))
-        assert np.float64(ledger_module._worst(*metrics)).tobytes() == want.tobytes(), metrics
-        for position in range(len(metrics) + 1):
-            for nan in (math.nan, np.float64(math.nan)):
-                with_nan = (*metrics[:position], nan, *metrics[position:])
-                assert math.isnan(float(np.max(with_nan)))
-                assert math.isnan(ledger_module._worst(*with_nan)), with_nan
-
-
 def test_cyclic_table_check_is_the_per_row_loop(monkeypatch):
     """``character-tables`` compares each cyclic table with all its omega-power
     rows in one step; with the S3 and Q8 rows matched exactly, its metric is the
@@ -583,19 +562,16 @@ def test_sampler_rows_have_their_style_and_repeat_per_seed(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_witness_rows_are_read_only_fresh_constructions(n):
-    """The memoized rows hold, bit for bit, what an uncached ``make_bent_cyclic``
-    builds for every root coprime to n, in ascending order."""
-    build = constructions._make_bent_cyclic.__wrapped__
+    """The memoized rows hold, bit for bit, what ``make_bent_cyclic`` builds
+    for every root coprime to n, in ascending order: coefficients, then values."""
     units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
-    for field in ("coefficients", "values"):
-        rows = ledger_module._witness_rows(n, field)
+    fresh = [make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function for u in units]
+    for rows, field in zip(ledger_module._witness_rows(n), ("coefficients", "values"), strict=True):
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 0
-        fresh = [getattr(build(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u), 1e-8).function, field)
-                 for u in units]
         assert rows.shape == (len(units), n)
-        assert rows.tobytes() == np.array(fresh).tobytes()
+        assert rows.tobytes() == np.array([getattr(f, field) for f in fresh]).tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4])
