@@ -41,8 +41,11 @@ SYNC_TOL = 1e-9
 
 
 def _check_tol(tol: float, name: str = "tol") -> None:
-    """Reject a NaN, infinite or negative tolerance, called ``name`` in the message."""
-    if not (math.isfinite(tol) and tol >= 0):
+    """Reject a tolerance that is a bool or a complex number (numpy's too), no
+    number, NaN, infinite or negative, called ``name`` in the message."""
+    real = hasattr(type(tol), "__float__") and not isinstance(
+        tol, (bool, np.bool_, np.complexfloating))
+    if not (real and math.isfinite(tol) and tol >= 0):
         raise ValueError(f"{name} must be a finite non-negative number, got {tol}")
 
 

@@ -33,7 +33,7 @@ from typing import NoReturn, Sequence
 from .bentness import BENT, is_bent, report_to_json
 from .characters import _JSON_PAIR, character_table, table_to_csv, table_to_json
 from .class_functions import DEFAULT_TOL, _check_tol, class_function_to_json, load_class_function
-from .constructions import SequenceKind, SequenceSpec, make_bent_cyclic
+from .constructions import SequenceKind, make_bent_cyclic
 from .groups import group_from_label
 
 __all__ = ["main"]
@@ -110,10 +110,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.kind == SequenceKind.QUADRATIC_CHIRP and args.root is not None:
-        raise ValueError(f"construct chirp takes no root, got {args.root}")
-    spec = SequenceSpec(kind=args.kind, length=args.n, root=1 if args.root is None else args.root)
-    certified = make_bent_cyclic(spec, args.tol)
+    certified = make_bent_cyclic(args.kind, args.n, args.root, tol=args.tol)
     payload = class_function_to_json(certified.function)
     payload["report"] = report_to_json(certified.report)
     _emit(_dumps(payload), args.output)

@@ -26,7 +26,6 @@ from .groups import _check_element, _check_integer, make_cyclic
 __all__ = [
     "CertifiedFunction",
     "SequenceKind",
-    "SequenceSpec",
     "character_twist",
     "global_phase",
     "make_bent_cyclic",
@@ -41,39 +40,12 @@ class SequenceKind(str, enum.Enum):
     QUADRATIC_CHIRP = "chirp"
 
 
-def _check_sequence(kind: SequenceKind, length: int, root: int = 1) -> None:
-    """The one validator of SequenceSpec, zadoff_chu and quadratic_chirp arguments."""
+def _check_sequence(length: int, root: int = 1) -> None:
+    """The length and root rule that zadoff_chu and quadratic_chirp share."""
     _check_integer("sequence length", length)
     _check_integer("sequence root", root)
     if length < 1:
         raise ValueError(f"sequence length must be positive, got {length}")
-    if not isinstance(kind, SequenceKind):
-        raise ValueError(f"unknown sequence kind {kind!r}")
-    if kind is SequenceKind.ZADOFF_CHU and math.gcd(root, length) != 1:
-        raise ValueError(
-            f"Zadoff-Chu root must be coprime to the length; "
-            f"gcd({root}, {length}) = {math.gcd(root, length)}"
-        )
-    if kind is SequenceKind.QUADRATIC_CHIRP and length % 2 == 0:
-        raise ValueError(f"quadratic chirps require odd length, got {length}")
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """Recipe for a unimodular sequence of length ``length``.
-
-    ``root`` is the Zadoff-Chu root u, which must be coprime to the length;
-    quadratic chirps ignore it and require odd length.
-    """
-
-    kind: SequenceKind
-    length: int
-    root: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind in list(SequenceKind):  # a valid string too, as _sequence uses ``is``
-            object.__setattr__(self, "kind", SequenceKind(self.kind))
-        _check_sequence(self.kind, self.length, self.root)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +63,9 @@ def zadoff_chu(n: int, u: int) -> np.ndarray:
     The parity split keeps the sequence n-periodic and drives every nonzero
     cyclic autocorrelation lag to zero.
     """
-    _check_sequence(SequenceKind.ZADOFF_CHU, n, u)
+    _check_sequence(n, u)
+    if (gcd := math.gcd(u, n)) != 1:
+        raise ValueError(f"Zadoff-Chu root must be coprime to the length; gcd({u}, {n}) = {gcd}")
     k = np.arange(n)
     if n % 2:
         phase = -np.pi * u * k * (k + 1) / n
@@ -102,41 +76,51 @@ def zadoff_chu(n: int, u: int) -> np.ndarray:
 
 def quadratic_chirp(n: int) -> np.ndarray:
     """Quadratic chirp g_k = omega^(k^2), omega = exp(2*pi*i/n), odd n only."""
-    _check_sequence(SequenceKind.QUADRATIC_CHIRP, n)
+    _check_sequence(n)
+    if n % 2 == 0:
+        raise ValueError(f"quadratic chirps require odd length, got {n}")
     k = np.arange(n)
     return np.exp(2j * np.pi * ((k * k) % n) / n)
 
 
-def _sequence(spec: SequenceSpec) -> np.ndarray:
-    if spec.kind is SequenceKind.ZADOFF_CHU:
-        return zadoff_chu(spec.length, spec.root)
-    return quadratic_chirp(spec.length)
-
-
-def make_bent_cyclic(spec: SequenceSpec, tol: float = DEFAULT_TOL) -> CertifiedFunction:
+def make_bent_cyclic(
+    kind: SequenceKind | str, length: int, root: int | None = None, *, tol: float = DEFAULT_TOL
+) -> CertifiedFunction:
     """Build the class function on Z_n with coefficients g/sqrt(n) and certify it.
 
+    ``g`` is ``zadoff_chu(n, root)``, root 1 by default, or ``quadratic_chirp(n)``,
+    which takes no root, with n = ``length``; ``kind`` may be a string.
     The self-check runs at ``max(tol, n^2 * 1e-15)``, and the report records
     that tolerance: the checked values are recomputed from the coefficients
     through the character matrix, which moves them by up to about n^2 ulps,
     so a tighter check would measure that rounding, not the sequence.
-    The result's arrays are read-only.  Raises ValueError on a NaN, infinite
-    or negative ``tol`` and ConstructionError if the self-check does not come
-    back BENT.
+    The result's arrays are read-only.  Raises ValueError on a bad sequence
+    argument, then on a bad ``tol``, before any table is built, and
+    ConstructionError if the self-check does not come back BENT.
     """
+    if kind not in list(SequenceKind):
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    kind = SequenceKind(kind)
+    if kind is SequenceKind.ZADOFF_CHU:
+        root = 1 if root is None else root
+        sequence = zadoff_chu(length, root)
+    elif root is not None:
+        raise ValueError(f"construct {kind.value} takes no root, got {root}")
+    else:
+        sequence = quadratic_chirp(length)
     _check_tol(tol)
-    n = spec.length
-    table = character_table(make_cyclic(n))
-    coefficients = _sequence(spec) / math.sqrt(n)
+    table = character_table(make_cyclic(length))
+    coefficients = sequence / math.sqrt(length)
     f = from_coefficients(table, coefficients)
-    report = is_bent(f, _rounding_tol(tol, n))
+    report = is_bent(f, _rounding_tol(tol, length))
     if report.verdict != BENT:
         if report.verdict == NOT_UNIMODULAR:
             failure = f"unimodular deviation {report.unimodular_deviation:.3e}"
         else:
             failure = f"max residual {report.max_residual:.3e}"
+        named = f"{kind.value} of length {length}" + ("" if root is None else f" and root {root}")
         raise ConstructionError(
-            f"construction {spec} failed its bentness self-check at tol "
+            f"construction {named} failed its bentness self-check at tol "
             f"{report.tol:g}: verdict {report.verdict}, {failure}"
         )
     return CertifiedFunction(function=f, report=report)

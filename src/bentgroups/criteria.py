@@ -201,6 +201,7 @@ def cyclic_criterion(a: Sequence[complex], tol: float = DEFAULT_TOL) -> Criterio
     lag sums sum_i conj(a_i) a_{i+k} vanish for k = 1..floor(n/2) (indices
     mod n).  Lags k and n-k give conjugate sums, so half the lags suffice.
     """
+    _check_tol(tol)  # before ``residuals > tol`` can compare with a non-number
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1 or len(a) < 2:
         raise ValueError(f"expected a coefficient vector of length >= 2, got shape {a.shape}")

@@ -32,7 +32,6 @@ from .characters import _REFERENCE_TABLES, CharacterTable, _class_sum_rows, char
 from .class_functions import DEFAULT_TOL, ClassFunction, _check_tol, from_coefficients
 from .constructions import (
     SequenceKind,
-    SequenceSpec,
     character_twist,
     global_phase,
     make_bent_cyclic,
@@ -148,7 +147,7 @@ def _claim(name: str, statement: str):
 
 
 def _zadoff_chu(n: int, u: int) -> ClassFunction:
-    return make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function
+    return make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, u).function
 
 
 @functools.lru_cache(maxsize=16)  # Z_2..Z_12 fit

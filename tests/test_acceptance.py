@@ -19,7 +19,6 @@ from bentgroups import (
     NOT_UNIMODULAR,
     SearchConfig,
     SequenceKind,
-    SequenceSpec,
     character_table,
     character_twist,
     cyclic_criterion,
@@ -116,7 +115,7 @@ def test_acceptance_3_necessary_magnitudes_and_counterexample():
     """Constructed bent coefficients have |a_i|^2 = 1/n within 1e-12; the
     flat real vector on Z2 is rejected as not unimodular."""
     for n in range(2, 65):
-        f = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function
+        f = make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, 1).function
         deviation = np.max(np.abs(np.abs(f.coefficients) ** 2 - 1.0 / n))
         assert deviation < 1e-12, n
 
@@ -162,7 +161,7 @@ def test_acceptance_5_construction_existence_sweep():
         for u in range(1, n):
             if math.gcd(u, n) != 1:
                 continue
-            certified = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u))
+            certified = make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, u)
             assert certified.report.verdict == BENT
             assert certified.report.max_residual < n * 1e-8
             flatness = np.max(np.abs(spectrum(certified.function) - n))

@@ -14,7 +14,6 @@ from bentgroups import (
     NOT_BENT,
     NOT_UNIMODULAR,
     SequenceKind,
-    SequenceSpec,
     character_table,
     derivative_sum,
     derivative_sums,
@@ -134,7 +133,7 @@ def test_order_one_group_vacuously_bent():
 
 
 def test_spectrum_examples(z3_table, z4_table):
-    bent = make_bent_cyclic(SequenceSpec(SequenceKind.QUADRATIC_CHIRP, 3)).function
+    bent = make_bent_cyclic(SequenceKind.QUADRATIC_CHIRP, 3).function
     np.testing.assert_allclose(spectrum(bent), [3.0, 3.0, 3.0], atol=1e-12)
     chi2 = from_coefficients(z4_table, [0.0, 1.0, 0.0, 0.0])
     np.testing.assert_allclose(spectrum(chi2), [0.0, 16.0, 0.0, 0.0], atol=1e-12)
@@ -162,7 +161,7 @@ def test_spectral_and_derivative_verdicts_agree():
         for _ in range(40):
             f = from_values(table, unit_phases(rng, n))
             assert (is_bent(f).verdict == BENT) == is_bent_spectral(f)
-        bent = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function
+        bent = make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, 1).function
         assert is_bent(bent).verdict == BENT
         assert is_bent_spectral(bent)
 
@@ -244,7 +243,7 @@ def verdict_batch(table, rng: np.random.Generator) -> list:
         functions += [from_values(table, unit_phases(rng, n)) for _ in range(15)]
     if group.abelian_factors is not None and len(group.abelian_factors) == 1:
         functions += [
-            make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function
+            make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, u).function
             for u in range(1, n + 1)
             if math.gcd(u, n) == 1
         ]

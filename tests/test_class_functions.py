@@ -15,16 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bentgroups import (
+    SearchConfig,
+    build_ledger,
     character_table,
     class_function_from_json,
     class_function_to_json,
+    cyclic_criterion,
+    cyclic_satisfied,
     from_coefficients,
     from_values,
     group_from_label,
+    is_bent,
+    is_bent_spectral,
     is_unimodular,
     load_class_function,
+    make_bent_cyclic,
     make_cyclic,
     make_named,
+    oracle_verdicts,
     save_class_function,
 )
 from bentgroups import characters
@@ -395,3 +403,40 @@ def test_unit_scale_outliers_are_still_rejected(s3_table):
     v = np.ones(6, dtype=complex)
     v[np.flatnonzero(group.class_of == 1)[0]] += 5e-10
     assert from_values(s3_table, v).sync_residual < 1e-9
+
+
+def _z5():
+    return make_bent_cyclic("zadoff-chu", 5, 2).function
+
+
+#: every public entry point that takes a tolerance, given only ``tol``
+TOL_ENTRIES = [
+    pytest.param(lambda tol: is_bent(_z5(), tol), id="is_bent"),
+    pytest.param(lambda tol: is_bent_spectral(_z5(), tol), id="is_bent_spectral"),
+    pytest.param(lambda tol: is_unimodular(_z5(), tol), id="is_unimodular"),
+    pytest.param(lambda tol: oracle_verdicts(_z5().table, _z5().values[None, :], tol),
+                 id="oracle_verdicts"),
+    pytest.param(lambda tol: cyclic_criterion(_z5().coefficients, tol), id="cyclic_criterion"),
+    pytest.param(lambda tol: cyclic_satisfied(_z5().coefficients[None, :], tol),
+                 id="cyclic_satisfied"),
+    pytest.param(lambda tol: make_bent_cyclic("zadoff-chu", 5, 2, tol=tol), id="make_bent_cyclic"),
+    pytest.param(lambda tol: SearchConfig(group="S3", budget=10, tol=tol), id="SearchConfig"),
+    pytest.param(lambda tol: build_ledger(tol=tol, budget=0), id="build_ledger"),
+]
+
+
+@pytest.mark.parametrize("tol", [True, np.True_, "1e-8", None, np.complex128(1e-8)], ids=repr)
+@pytest.mark.parametrize("call", TOL_ENTRIES)
+def test_a_bool_or_a_non_number_is_no_tolerance(call, tol):
+    """``is_bent(f, True)`` read tol 1, and its JSON report printed "tol": true;
+    a string or None raised a bare TypeError, and a numpy complex passed with
+    a ComplexWarning, its imaginary part dropped."""
+    with pytest.raises(ValueError) as info:
+        call(tol)
+    assert str(info.value) == f"tol must be a finite non-negative number, got {tol}"
+
+
+@pytest.mark.parametrize("tol", [0, np.float64(1e-8), np.int64(1)], ids=repr)
+@pytest.mark.parametrize("call", TOL_ENTRIES[:-1])  # build_ledger runs every claim
+def test_a_zero_or_numpy_number_tolerance_stays_valid(call, tol):
+    call(tol)

@@ -20,7 +20,6 @@ import bentgroups
 from bentgroups import (
     SearchConfig,
     SequenceKind,
-    SequenceSpec,
     Strategy,
     build_ledger,
     character_table,
@@ -589,8 +588,8 @@ STAR_NAMES = {
     "class_functions": "ClassFunction class_function_from_json class_function_to_json "
                        "from_coefficients from_values is_unimodular load_class_function "
                        "save_class_function",
-    "constructions": "CertifiedFunction SequenceKind SequenceSpec character_twist global_phase "
-                     "make_bent_cyclic quadratic_chirp translate zadoff_chu",
+    "constructions": "CertifiedFunction SequenceKind character_twist global_phase make_bent_cyclic "
+                     "quadratic_chirp translate zadoff_chu",
     "criteria": "CriterionOutcome ImpossibilityCertificate abelian_magnitude_necessary "
                 "cyclic_criterion cyclic_lag_sums cyclic_satisfied impossibility_certificate "
                 "klein_criterion q8_equation_residuals solve_magnitude_system solve_q8_system",
@@ -611,7 +610,7 @@ def test_star_import_binds_each_submodules_own_objects():
         submodule = sys.modules[f"bentgroups.{module}"]
         want[module] = submodule
         want.update({name: getattr(submodule, name) for name in names.split()})
-    assert len(want) == 79
+    assert len(want) == 78
     assert namespace.keys() == want.keys()
     assert all(namespace[name] is obj for name, obj in want.items())
 
@@ -824,8 +823,8 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def construct_payload(kind: str, n: int, root: int = 1) -> dict:
-    certified = make_bent_cyclic(SequenceSpec(SequenceKind(kind), n, root))
+def construct_payload(kind: str, n: int, root: int | None = None) -> dict:
+    certified = make_bent_cyclic(SequenceKind(kind), n, root)
     payload = class_function_to_json(certified.function)
     payload["report"] = report_to_json(certified.report)
     return payload

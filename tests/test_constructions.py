@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import re
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from bentgroups import (
     CapabilityError,
     ConstructionError,
     SequenceKind,
-    SequenceSpec,
     character_table,
     character_twist,
     cyclic_criterion,
@@ -81,13 +79,15 @@ def test_chirp_argument_errors():
         quadratic_chirp(-3)
 
 
+# A sequence spec is the kind, length and root that make_bent_cyclic takes.
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
-        SequenceSpec(SequenceKind.ZADOFF_CHU, 6, 3)
+        make_bent_cyclic(SequenceKind.ZADOFF_CHU, 6, 3)
     with pytest.raises(ValueError):
-        SequenceSpec(SequenceKind.QUADRATIC_CHIRP, 4)
-    spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 6, 5)
-    assert spec.root == 5
+        make_bent_cyclic(SequenceKind.QUADRATIC_CHIRP, 4)
+    assert make_bent_cyclic(SequenceKind.ZADOFF_CHU, 6, 5).report.verdict == BENT
     assert SequenceKind("chirp") is SequenceKind.QUADRATIC_CHIRP
 
 
@@ -96,7 +96,7 @@ def test_spec_validation():
     "kind, n, root, message",
     [
         (SequenceKind.ZADOFF_CHU, 0, 1, "sequence length must be positive, got 0"),
-        (SequenceKind.QUADRATIC_CHIRP, 4, 1, "quadratic chirps require odd length, got 4"),
+        (SequenceKind.QUADRATIC_CHIRP, 4, None, "quadratic chirps require odd length, got 4"),
         (
             SequenceKind.ZADOFF_CHU,
             6,
@@ -109,15 +109,17 @@ def test_spec_validation():
 def test_every_entry_point_rejects_a_sequence_with_the_same_message(
     capsys, entry, kind, n, root, message
 ):
+    """The entries are make_bent_cyclic ("spec"), the generator and the CLI;
+    make_bent_cyclic reports the sequence before its NaN ``tol``."""
     if entry == "cli":
-        chirp = kind is SequenceKind.QUADRATIC_CHIRP  # the CLI rejects a chirp root
-        assert cli_main(["construct", kind.value, str(n)] + ([] if chirp else [str(root)])) == 2
+        argv = ["construct", kind.value, str(n)] + ([] if root is None else [str(root)])
+        assert cli_main(argv) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         return
     with pytest.raises(ValueError) as excinfo:
         if entry == "spec":
-            SequenceSpec(kind, n, root)
+            make_bent_cyclic(kind, n, root, tol=math.nan)
         elif kind is SequenceKind.ZADOFF_CHU:
             zadoff_chu(n, root)
         else:
@@ -127,22 +129,40 @@ def test_every_entry_point_rejects_a_sequence_with_the_same_message(
 
 def test_spec_rejects_an_unknown_kind():
     with pytest.raises(ValueError) as excinfo:
-        SequenceSpec("bogus", 5)
+        make_bent_cyclic("bogus", 5)
     assert str(excinfo.value) == "unknown sequence kind 'bogus'"
 
 
-@pytest.mark.parametrize("kind, n, root", [("zadoff-chu", 5, 2), ("chirp", 9, 1)])
+@pytest.mark.parametrize("kind, n, root", [("zadoff-chu", 5, 2), ("chirp", 9, None)])
 def test_spec_takes_a_valid_kind_string_as_its_enum_member(kind, n, root):
-    spec = SequenceSpec(kind, n, root)
-    assert spec.kind is SequenceKind(kind)  # the builder tells the kinds apart with ``is``
-    coefficients = make_bent_cyclic(spec).function.coefficients
-    same = make_bent_cyclic(SequenceSpec(SequenceKind(kind), n, root)).function.coefficients
+    coefficients = make_bent_cyclic(kind, n, root).function.coefficients
+    same = make_bent_cyclic(SequenceKind(kind), n, root).function.coefficients
     assert coefficients.tobytes() == same.tobytes()
+
+
+@pytest.mark.parametrize("root", [5, 1, 0])
+def test_a_chirp_given_a_root_is_refused_with_the_clis_message(capsys, root):
+    """make_bent_cyclic dropped a chirp's root silently; the CLI refused it."""
+    with pytest.raises(ValueError) as excinfo:
+        make_bent_cyclic("chirp", 9, root)
+    assert str(excinfo.value) == f"construct chirp takes no root, got {root}"
+    assert cli_main(["construct", "chirp", "9", str(root)]) == 2
+    assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+
+
+def test_zadoff_chu_without_a_root_takes_root_1():
+    made = make_bent_cyclic("zadoff-chu", 7).function.coefficients
+    assert made.tobytes() == make_bent_cyclic("zadoff-chu", 7, 1).function.coefficients.tobytes()
+
+
+def test_tol_is_keyword_only():
+    with pytest.raises(TypeError):
+        make_bent_cyclic("zadoff-chu", 7, 1, 1e-8)
 
 
 def test_make_bent_cyclic_certifies():
     for n in (2, 5, 6, 9, 16):
-        certified = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1))
+        certified = make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, 1)
         assert certified.report.verdict == BENT
         assert certified.report.max_residual < n * 1e-10
         # coefficients are the sequence scaled to the unit sphere
@@ -155,7 +175,7 @@ def test_make_bent_cyclic_certifies():
 
 def test_constructed_functions_have_flat_spectrum():
     for n in (3, 8, 13):
-        f = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function
+        f = make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, 1).function
         np.testing.assert_allclose(spectrum(f), float(n), atol=n * 1e-10)
 
 
@@ -164,13 +184,13 @@ def test_all_valid_roots_certify():
         for u in range(1, n):
             if math.gcd(u, n) != 1:
                 continue
-            certified = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u))
+            certified = make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, u)
             assert certified.report.verdict == BENT
 
 
 def test_chirp_certifies_odd_lengths():
     for n in (3, 5, 7, 9, 11, 21):
-        certified = make_bent_cyclic(SequenceSpec(SequenceKind.QUADRATIC_CHIRP, n))
+        certified = make_bent_cyclic(SequenceKind.QUADRATIC_CHIRP, n)
         assert certified.report.verdict == BENT
 
 
@@ -184,31 +204,40 @@ def test_chirp_certifies_odd_lengths():
 def test_failed_self_check_names_its_measure_and_is_not_cached(
     monkeypatch, root, sequence, message
 ):
-    spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 7, root)
-    monkeypatch.setattr(constructions_module, "_sequence", lambda s: sequence(s.length))
-    with pytest.raises(ConstructionError, match=re.escape(f"at tol 3e-08: verdict {message}")):
-        make_bent_cyclic(spec, 3e-8)
+    monkeypatch.setattr(constructions_module, "zadoff_chu", lambda n, u: sequence(n))
+    with pytest.raises(ConstructionError) as excinfo:
+        make_bent_cyclic(SequenceKind.ZADOFF_CHU, 7, root, tol=3e-8)
+    assert str(excinfo.value) == (
+        f"construction zadoff-chu of length 7 and root {root} failed its bentness "
+        f"self-check at tol 3e-08: verdict {message}"
+    )
     monkeypatch.undo()
-    assert make_bent_cyclic(spec, 3e-8).report.verdict == BENT
+    assert make_bent_cyclic(SequenceKind.ZADOFF_CHU, 7, root, tol=3e-8).report.verdict == BENT
+
+
+def test_a_failed_chirp_names_no_root(monkeypatch):
+    doubled = lambda n: 2.0 * quadratic_chirp(n)  # noqa: E731
+    monkeypatch.setattr(constructions_module, "quadratic_chirp", doubled)
+    with pytest.raises(ConstructionError) as excinfo:
+        make_bent_cyclic("chirp", 9)
+    assert str(excinfo.value).startswith("construction chirp of length 9 failed its bentness")
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 def test_a_bad_tolerance_is_rejected_before_any_build(monkeypatch, tol):
     """NaN raised a ConstructionError "failed its bentness self-check at tol
     nan", and -1.0 certified silently at the rounding floor 2.5e-14."""
-    spec = SequenceSpec(SequenceKind.ZADOFF_CHU, 5, 2)
-
     def no_build(group):
         raise AssertionError("a character table was built before the tol check")
 
     monkeypatch.setattr(constructions_module, "character_table", no_build)
     with pytest.raises(ValueError) as info:
-        make_bent_cyclic(spec, tol)
+        make_bent_cyclic(SequenceKind.ZADOFF_CHU, 5, 2, tol=tol)
     assert str(info.value) == f"tol must be a finite non-negative number, got {tol}"
 
 
 def test_constructions_pass_cyclic_criterion():
-    f = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5)).function
+    f = make_bent_cyclic(SequenceKind.ZADOFF_CHU, 12, 5).function
     assert cyclic_criterion(f.coefficients).satisfied
 
 
@@ -218,7 +247,7 @@ def test_constructions_pass_cyclic_criterion():
 
 @pytest.fixture(scope="module")
 def bent_z8():
-    return make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 8, 3)).function
+    return make_bent_cyclic(SequenceKind.ZADOFF_CHU, 8, 3).function
 
 
 def test_global_phase_preserves_bentness(bent_z8):

@@ -11,7 +11,6 @@ from bentgroups import (
     BENT,
     NOT_UNIMODULAR,
     SequenceKind,
-    SequenceSpec,
     abelian_magnitude_necessary,
     character_table,
     cyclic_criterion,
@@ -169,7 +168,7 @@ def test_lag_sums_bit_identical_to_roll_loop(n):
 def test_cyclic_criterion_matches_loop_reference():
     rng = np.random.default_rng(43)
     for n in (2, 3, 4, 7, 12, 64, 509):
-        bent = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function
+        bent = make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, 1).function
         for a in (flat_random_coefficients(rng, n), rng.standard_normal(n), bent.coefficients):
             outcome = cyclic_criterion(a)
             expected = loop_cyclic_violations(np.asarray(a, dtype=complex), outcome.tol)
@@ -190,7 +189,7 @@ def coefficient_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     rows = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(20)]
     rows += [flat_random_coefficients(rng, n) for _ in range(20)]
     rows += [
-        make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function.coefficients
+        make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, u).function.coefficients
         for u in range(1, n + 1)
         if math.gcd(u, n) == 1
     ]
@@ -237,7 +236,7 @@ def test_z4_closed_form_conditions():
 
 def test_constructed_vectors_satisfy_cyclic_criterion():
     for n in range(2, 13):
-        bent = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, 1)).function
+        bent = make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, 1).function
         outcome = cyclic_criterion(bent.coefficients)
         assert outcome.satisfied, outcome.violations
 

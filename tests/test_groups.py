@@ -19,7 +19,6 @@ from bentgroups import (
     ClassFunction,
     Group,
     SequenceKind,
-    SequenceSpec,
     build_ledger,
     character_table,
     character_twist,
@@ -385,7 +384,7 @@ def test_multiply_inverse_helpers():
 
 
 def _z8() -> ClassFunction:
-    return make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 8, 3)).function
+    return make_bent_cyclic(SequenceKind.ZADOFF_CHU, 8, 3).function
 
 
 #: each entry point with one integer argument replaced, and the name its message gives
@@ -395,8 +394,9 @@ INTEGER_ARGUMENTS = [
     pytest.param(lambda v: zadoff_chu(v, 1), "sequence length", id="zadoff_chu-length"),
     pytest.param(lambda v: zadoff_chu(5, v), "sequence root", id="zadoff_chu-root"),
     pytest.param(quadratic_chirp, "sequence length", id="quadratic_chirp"),
-    pytest.param(lambda v: SequenceSpec("chirp", v), "sequence length", id="spec-length"),
-    pytest.param(lambda v: SequenceSpec("zadoff-chu", 5, v), "sequence root", id="spec-root"),
+    # "spec": the kind, length and root that make_bent_cyclic takes
+    pytest.param(lambda v: make_bent_cyclic("chirp", v), "sequence length", id="spec-length"),
+    pytest.param(lambda v: make_bent_cyclic("zadoff-chu", 5, v), "sequence root", id="spec-root"),
     pytest.param(lambda v: derivative_sum(_z8(), v), "element index", id="derivative_sum"),
     pytest.param(lambda v: translate(_z8(), v), "element index", id="translate"),
     pytest.param(lambda v: multiply(make_cyclic(8), v, 1), "element index", id="multiply-left"),
@@ -423,8 +423,7 @@ def test_numpy_integer_arguments_act_as_ints():
     assert make_abelian([np.int64(2), np.int32(4)]) is make_abelian([2, 4])
     assert zadoff_chu(np.int64(9), np.int64(2)).tobytes() == zadoff_chu(9, 2).tobytes()
     assert quadratic_chirp(np.int64(9)).tobytes() == quadratic_chirp(9).tobytes()
-    spec = SequenceSpec(SequenceKind.ZADOFF_CHU, np.int64(8), np.int64(3))
-    f = make_bent_cyclic(spec).function
+    f = make_bent_cyclic(SequenceKind.ZADOFF_CHU, np.int64(8), np.int64(3)).function
     assert f.coefficients.tobytes() == _z8().coefficients.tobytes()
     q8 = make_named("Q8")
     for x in range(8):
@@ -741,7 +740,7 @@ def test_memoized_arrays_stay_read_only():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
-    certified = make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, 12, 5))
+    certified = make_bent_cyclic(SequenceKind.ZADOFF_CHU, 12, 5)
     for arr in (certified.function.values, certified.function.coefficients,
                 certified.report.residuals):
         assert not arr.flags.writeable

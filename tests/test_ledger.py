@@ -17,7 +17,6 @@ from bentgroups import (
     BENT,
     NOT_BENT,
     SequenceKind,
-    SequenceSpec,
     abelian_magnitude_necessary,
     build_ledger,
     character_table,
@@ -489,7 +488,7 @@ def test_json_layout(default_ledger):
 
 
 def zadoff_chu(n: int, u: int):
-    return make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function
+    return make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, u).function
 
 
 def scalar_printed_sums(a: np.ndarray) -> list[complex]:
@@ -565,7 +564,7 @@ def test_witness_rows_are_read_only_fresh_constructions(n):
     """The memoized rows hold, bit for bit, what ``make_bent_cyclic`` builds
     for every root coprime to n, in ascending order: coefficients, then values."""
     units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
-    fresh = [make_bent_cyclic(SequenceSpec(SequenceKind.ZADOFF_CHU, n, u)).function for u in units]
+    fresh = [make_bent_cyclic(SequenceKind.ZADOFF_CHU, n, u).function for u in units]
     for rows, field in zip(ledger_module._witness_rows(n), ("coefficients", "values"), strict=True):
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
