@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapabilityError, NumericDegeneracyError
 from .groups import Group, _kronecker_sum, element_order, make_named
@@ -177,25 +176,27 @@ def _root_bound(roots: np.ndarray, n: int) -> float:
     bound assumes nothing of the roots, so it holds far from I too.
     """
     e = len(roots)
-    index = np.arange(e)
-    # delta by row blocks: roots[a] * conj(roots[-c]) against roots[a + c], a
-    # sliding window over roots[(0 .. 2e - 2) % e]
-    conj = np.conj(roots)[-index]
-    shifted = sliding_window_view(roots[np.arange(2 * e - 1) % e], e)
-    blocks = (slice(a, a + _ROW_BLOCK) for a in range(0, e, _ROW_BLOCK))
-    delta = np.max([np.max(np.abs(np.multiply.outer(roots[rows], conj) - shifted[rows]))
-                    for rows in blocks])
-    averages = np.array([roots[::e // d].sum() / d for d in range(1, e + 1) if e % d == 0])
+    # delta by row blocks: roots[a] * conj(roots[-c]) against roots[a + c], read
+    # through the strided view shifted[a, c] = twice[a + c] of the roots twice over
+    conj = np.conj(roots)[-np.arange(e)]
+    twice = np.concatenate((roots, roots))
+    shifted = np.ndarray((e, e), twice.dtype, twice, strides=twice.strides * 2)
+    delta = max(np.abs(np.multiply.outer(roots[a:a + _ROW_BLOCK], conj)
+                       - shifted[a:a + _ROW_BLOCK]).max() for a in range(0, e, _ROW_BLOCK))
+    small = [k for k in range(1, math.isqrt(e) + 1) if e % k == 0]
+    divisors = small + [e // k for k in reversed(small) if k * k != e]
+    # np.add.reduce is ndarray.sum without its Python wrapper
+    averages = np.array([np.add.reduce(roots[::e // d]) / d for d in divisors])
     averages[0] -= 1.0  # d = 1, the diagonal
-    return float(delta) + float(np.max(np.abs(averages))) + _GRAM_ROUNDING_PER_ELEMENT * n
+    return float(delta) + float(np.abs(averages).max()) + _GRAM_ROUNDING_PER_ELEMENT * n
 
 
 def _checked_roots(group: Group) -> np.ndarray:
     """The e-th roots of unity of an analytic table, e the exponent of ``group``,
     once :func:`_root_bound` is within tolerance."""
     roots = _roots_of_unity(group.exponent)
-    # every character's degree is its value at the identity, roots[0]
-    _checked_degrees(roots[:1, None], _root_bound(roots, group.order))
+    # every character's degree is its value at the identity, roots[0] = 1.0
+    _check_deviation(_root_bound(roots, group.order))
     return roots
 
 
@@ -328,12 +329,18 @@ def _checked_degrees(class_values: np.ndarray, dev: float) -> tuple[int, ...]:
     """The degrees read from the identity column, once they are integers and the
     orthogonality deviation ``dev`` is within tolerance."""
     degrees = np.round(class_values[:, 0].real)
-    # written as "not <=", so that a NaN degree or deviation fails too
+    # written as "not <=", so that a NaN degree fails too
     if not np.max(np.abs(class_values[:, 0] - degrees)) <= _TABLE_TOL:
         raise ValueError("computed character table has a non-integral degree")
+    _check_deviation(dev)
+    return tuple(degrees.astype(int).tolist())
+
+
+def _check_deviation(dev: float) -> None:
+    """Raise ValueError unless the orthogonality deviation ``dev`` is within
+    tolerance; written as "not <=", so that a NaN fails too."""
     if not dev <= _TABLE_TOL:
         raise ValueError(f"character table failed orthogonality validation ({dev:.3e})")
-    return tuple(degrees.astype(int).tolist())
 
 
 @functools.lru_cache(maxsize=128)

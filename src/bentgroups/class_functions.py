@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,12 +163,19 @@ def class_function_to_json(f: ClassFunction) -> dict:
 
 
 def _from_pairs(data: object) -> np.ndarray:
-    """Complex array from a list of ``[re, im]`` pairs of finite numbers."""
+    """Complex array from a list of ``[re, im]`` pairs of finite numbers.
+
+    An integer beyond int64 and uint64, which numpy holds as an object, is
+    read as a float, so that one beyond the float range is not finite."""
     message = "class-function data must be a list of [re, im] pairs of numbers"
     try:
         pairs = np.array(data)
     except ValueError as exc:  # ragged nesting
         raise ValueError(message) from exc
+    if pairs.dtype == object and {int, float}.issuperset(map(type, pairs.flat)):
+        top = sys.float_info.max  # an int compares with a float exactly
+        floats = [float(x) if abs(x) <= top else math.inf for x in pairs.flat]
+        pairs = np.array(floats).reshape(pairs.shape)
     if pairs.shape == (0,):  # no pairs: a length error, which the caller reports
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
@@ -176,9 +184,9 @@ def _from_pairs(data: object) -> np.ndarray:
     if not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(data))):
         raise ValueError(message)
     pairs = pairs.astype(float)
-    bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
-    if len(bad):
-        raise ValueError(f"class-function data[{bad[0]}] is not finite")
+    finite = np.isfinite(pairs).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"class-function data[{np.argmin(finite)}] is not finite")
     return pairs.view(complex)[:, 0]
 
 

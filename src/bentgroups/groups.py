@@ -8,9 +8,9 @@ Light's test, at every order), and its conjugacy-class partition is computed
 from it.  A product of cyclic groups built from its factor sizes is correct
 by construction: its identity, inverses, classes and exponent are closed
 forms of the mixed-radix digits, pinned against the validated build by the
-tests, and its Cayley table is built only when it is first read.  Groups are
-frozen with read-only arrays, so the constructors memoize them and callers
-share one instance per label.
+tests, and its Cayley table, inverses and element names are each built only
+when first read.  Groups are frozen with read-only arrays, so the
+constructors memoize them and callers share one instance per label.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ class Group:
     identity : int
         Index of the identity element.
     inverses : np.ndarray
-        ``inverses[i]`` is the index of ``g_i^{-1}``.
+        ``inverses[i]`` is the index of ``g_i^{-1}``; a product builds it on
+        its first read, as it does ``cayley`` and ``element_names``.
     class_of : np.ndarray
         ``class_of[i]`` is the conjugacy-class index of ``g_i``.  Class 0 is
         the class of the identity; the rest are ordered by smallest member.
@@ -92,20 +93,33 @@ class Group:
     name: str
     order: int
     identity: int
-    inverses: np.ndarray
     class_of: np.ndarray
     class_reps: tuple[int, ...]
     class_sizes: tuple[int, ...]
-    element_names: tuple[str, ...]
     abelian_factors: tuple[int, ...] | None = None
-    #: the Cayley table once built; ``None`` only before a product's first read
+    #: the Cayley table, inverses and names once built; ``None`` only before a
+    #: product's first read of each
     _cayley: np.ndarray | None = None
+    _inverses: np.ndarray | None = None
+    _element_names: tuple[str, ...] | None = None
+
+    def _built(self, field: str, build: Callable[[tuple[int, ...]], object]):
+        """The value of ``field``, built from ``abelian_factors`` if still ``None``."""
+        if getattr(self, field) is None:  # threads that race here build equal values
+            object.__setattr__(self, field, build(self.abelian_factors))
+        return getattr(self, field)
 
     @property
     def cayley(self) -> np.ndarray:
-        if self._cayley is None:  # threads that race here build equal read-only tables
-            object.__setattr__(self, "_cayley", _abelian_cayley(self.abelian_factors))
-        return self._cayley
+        return self._built("_cayley", _abelian_cayley)
+
+    @property
+    def inverses(self) -> np.ndarray:
+        return self._built("_inverses", _abelian_inverses)
+
+    @property
+    def element_names(self) -> tuple[str, ...]:
+        return self._built("_element_names", _abelian_names)
 
     @property
     def n_classes(self) -> int:
@@ -250,12 +264,12 @@ def _build_group(
         name=name,
         order=int(cayley.shape[0]),
         identity=int(identity),
-        inverses=_freeze(inverses),
         class_of=_freeze(class_of),
         class_reps=reps,
         class_sizes=sizes,
-        element_names=names,
         _cayley=_freeze(cayley),
+        _inverses=_freeze(inverses),
+        _element_names=names,
     )
 
 
@@ -292,24 +306,31 @@ def _make_abelian(factors: tuple[int, ...]) -> Group:
     n = math.prod(factors)
     if n > MAX_ORDER:
         raise CapabilityError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
-    # the inverse negates each mixed-radix digit, mod its factor ("wrap")
-    negated = [-d for d in np.unravel_index(np.arange(n), factors)]
-    inverses = np.ravel_multi_index(negated, factors, mode="wrap")
-    names = map(str, range(n))
-    if len(factors) > 1:
-        digits = itertools.product(*map(range, factors))  # row-major mixed radix
-        names = ("(" + ",".join(map(str, ds)) + ")" for ds in digits)
     return Group(
         name="x".join(f"Z{m}" for m in factors),
         order=n,
         identity=0,
-        inverses=_freeze(inverses),
         class_of=_freeze(np.arange(n)),  # every class of an abelian group is one element
         class_reps=tuple(range(n)),
         class_sizes=(1,) * n,
-        element_names=tuple(names),
         abelian_factors=factors,
     )
+
+
+def _abelian_inverses(factors: tuple[int, ...]) -> np.ndarray:
+    """The read-only inverses of the product: each mixed-radix digit negated,
+    mod its factor ("wrap")."""
+    negated = [-d for d in np.unravel_index(np.arange(math.prod(factors)), factors)]
+    return _freeze(np.ravel_multi_index(negated, factors, mode="wrap"))
+
+
+def _abelian_names(factors: tuple[int, ...]) -> tuple[str, ...]:
+    """``"(t_1,..,t_k)"`` for the row-major mixed-radix digits, or ``"0" .. "n-1"``
+    for one factor."""
+    if len(factors) == 1:
+        return tuple(map(str, range(factors[0])))
+    digits = itertools.product(*map(range, factors))
+    return tuple("(" + ",".join(map(str, ds)) + ")" for ds in digits)
 
 
 def _kronecker_sum(factors: Sequence[int], grid: Callable[[int, int], np.ndarray]) -> np.ndarray:
@@ -318,8 +339,9 @@ def _kronecker_sum(factors: Sequence[int], grid: Callable[[int, int], np.ndarray
     ``grid(m, k)`` returns the factor's m x m term, scaled by the stride k for
     element indices and by e/m for exponents of the e-th roots of unity.  The
     table takes the grids' integer dtype."""
-    table = np.zeros((1, 1), dtype=np.int8)
-    for m in reversed(factors):  # last first, so the broadcast's inner loop is long
+    *rest, last = factors
+    table = np.ascontiguousarray(grid(last, 1))  # the last factor's own table
+    for m in reversed(rest):  # last first, so the broadcast's inner loop is long
         k = len(table)
         table = (grid(m, k)[:, None, :, None] + table[None, :, None, :]).reshape(m * k, m * k)
     return table

@@ -13,8 +13,9 @@ coordinate-descent refinement of the best draw.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .bentness import BENT, BentReport, _row_max, is_bent, report_to_json
 from .characters import CharacterTable, character_table
 from .class_functions import DEFAULT_TOL, _check_length, _check_tol, _pairs, from_coefficients
 from .constructions import quadratic_chirp, zadoff_chu
-from .groups import _check_count, group_from_label
+from .groups import _check_count, _freeze, group_from_label
 
 __all__ = [
     "SearchConfig",
@@ -39,6 +40,8 @@ _MAX_LOCAL_BUDGET = 25_000
 _MAX_SEEDS = 8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 48
+#: The quantiles of the objective histogram: 0%, 10%, ..., 100%.
+_DECILES = np.linspace(0, 1, 11)
 
 
 class Strategy(str, enum.Enum):
@@ -68,8 +71,8 @@ class SearchResult:
     """Search outcome: best candidate, certification status, and transcript stats.
 
     ``histogram`` holds the 0%, 10%, ..., 100% quantiles of all evaluated
-    objective values.  ``report`` is the certifying BentReport when
-    ``certified_bent`` is true, else None.
+    objective values, computed when first read.  ``report`` is the certifying
+    BentReport when ``certified_bent`` is true, else None.
     """
 
     config: SearchConfig
@@ -77,8 +80,36 @@ class SearchResult:
     best_coefficients: np.ndarray
     certified_bent: bool
     evaluations: int
-    histogram: tuple[float, ...]
     report: BentReport | None
+    #: every evaluated objective value, in evaluation order
+    _objectives: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def histogram(self) -> tuple[float, ...]:
+        # sorting moves no order statistic, so the quantiles keep their bits
+        return _deciles(np.sort(self._objectives))
+
+
+def _deciles(values: np.ndarray) -> tuple[float, ...]:
+    """``np.quantile(values, _DECILES)`` of sorted values, bit for bit: numpy's
+    linear method without the partition, whose ``np.unique`` imports
+    ``numpy.ma``.  The virtual index ``(n - 1) * q`` lies between its floor and
+    the next index, both -1 at the top, and ``_lerp`` subtracts from the upper
+    value where the weight is at least 0.5.  A NaN sorts last and makes every
+    decile NaN."""
+    n = len(values)
+    virtual = (n - 1) * _DECILES
+    top = virtual >= n - 1
+    below = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    above = np.where(top, -1, below + 1)
+    low, high = values[below], values[above]
+    weight = virtual - below
+    step = high - low
+    deciles = low + step * weight
+    np.subtract(high, step * (1 - weight), out=deciles, where=weight >= 0.5)
+    if np.isnan(values[-1]):
+        deciles[:] = values[-1]
+    return tuple(deciles.tolist())
 
 
 def objective(table: CharacterTable, a: Sequence[complex]) -> float:
@@ -193,7 +224,7 @@ def _rescaler(mags: np.ndarray, i: int) -> Callable[[float], np.ndarray]:
 
 
 class _Transcript:
-    """Tracks evaluations, the running best, and the objective histogram."""
+    """Tracks evaluations, the running best, and every objective value."""
 
     def __init__(self, table: CharacterTable, budget: int, tol: float):
         self.table = table
@@ -213,14 +244,6 @@ class _Transcript:
     @property
     def done(self) -> bool:
         return self.evaluations >= self.budget or self.best_objective <= self.tol
-
-    def histogram(self) -> tuple[float, ...]:
-        """The 0%, 10%, ..., 100% quantiles of every evaluated objective."""
-        values = np.concatenate([*self.batch_values, np.asarray(self.probe_values)])
-        # sorting moves no order statistic, so the quantiles keep their bits;
-        # np.quantile's own partition of unsorted values is the slower route
-        values.sort()
-        return tuple(np.quantile(values, np.linspace(0, 1, 11)).tolist())
 
     def record_batch(self, batch: np.ndarray) -> None:
         batch = batch[: self.remaining]
@@ -340,8 +363,9 @@ def run_search(config: SearchConfig) -> SearchResult:
         best_coefficients=best_coefficients,
         certified_bent=report is not None,
         evaluations=transcript.evaluations,
-        histogram=transcript.histogram(),
         report=report,
+        _objectives=_freeze(np.concatenate([*transcript.batch_values,
+                                            np.asarray(transcript.probe_values)])),
     )
 
 

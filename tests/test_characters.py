@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from bentgroups import (
     BENT,
@@ -814,6 +815,37 @@ def loop_root_bound(roots: np.ndarray, n: int) -> float:
             average = np.sum(roots[np.arange(d) * (e // d)]) / d
             worst = max(worst, abs(average - (d == 1)))
     return float(delta) + worst + characters._GRAM_ROUNDING_PER_ELEMENT * n
+
+
+def windowed_root_bound(roots: np.ndarray, n: int) -> float:
+    """``_root_bound`` with delta from row blocks of a sliding window over
+    ``roots[(0 .. 2e - 2) % e]`` and one average per d in 1..e that divides e:
+    the reference whose floats the bound keeps."""
+    e = len(roots)
+    index = np.arange(e)
+    conj = np.conj(roots)[-index]
+    shifted = sliding_window_view(roots[np.arange(2 * e - 1) % e], e)
+    blocks = (slice(a, a + characters._ROW_BLOCK) for a in range(0, e, characters._ROW_BLOCK))
+    delta = np.max([np.max(np.abs(np.multiply.outer(roots[rows], conj) - shifted[rows]))
+                    for rows in blocks])
+    averages = np.array([roots[::e // d].sum() / d for d in range(1, e + 1) if e % d == 0])
+    averages[0] -= 1.0
+    return float(delta) + float(np.max(np.abs(averages))) + characters._GRAM_ROUNDING_PER_ELEMENT * n
+
+
+def test_root_bound_keeps_the_bits_of_the_windowed_form():
+    """delta reads a strided view of the roots twice over, and the divisors are
+    listed up to sqrt(e): the same float at every exponent."""
+    for e in range(1, 513):
+        roots = characters._roots_of_unity(e)
+        for n in {e, 512}:
+            got = characters._root_bound(roots, n)
+            assert type(got) is float and got == windowed_root_bound(roots, n), (e, n)
+    for e in (1, 2, 12, 64, 65):
+        for k in range(e):
+            roots = characters._roots_of_unity(e)
+            roots[k] *= 10.0
+            assert characters._root_bound(roots, e) == windowed_root_bound(roots, e), (e, k)
 
 
 def assert_phi_and_bound_match_the_loop_reference(factors) -> None:

@@ -228,6 +228,31 @@ def test_malformed_file_builds_no_character_table(label, basis, data, message):
     assert after.hits + after.misses == info.hits + info.misses
 
 
+@pytest.mark.parametrize("big", [2**64 - 1, 2**64, 10**24, 1e24, -(2**63) - 1, -(10**24)],
+                         ids=["uint64-max", "2^64", "10^24", "1e24", "below-int64", "-10^24"])
+def test_an_integer_beyond_int64_and_uint64_is_read_as_a_float(big):
+    f = class_function_from_json({"group": "Z2", "basis": "coefficients", "data": [[big, 0], [0, 1]]})
+    assert f.coefficients.tobytes() == np.array([float(big), 1j]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([[10**400, 0], [0, 0]], "class-function data[0] is not finite"),
+        ([[0, 0], [0, -(10**400)]], "class-function data[1] is not finite"),
+        ([[2**64, True], [0, 0]], "class-function data must be a list of [re, im] pairs of numbers"),
+        ([["1", 2**64], [0, 0]], "class-function data must be a list of [re, im] pairs of numbers"),
+        ([[2**64, None], [0, 0]], "class-function data must be a list of [re, im] pairs of numbers"),
+        ([2**64, 0], "class-function data must be a list of [re, im] pairs of numbers"),
+    ],
+    ids=["beyond-float", "negative-beyond-float", "bool", "str", "null", "flat"],
+)
+def test_a_large_integer_beyond_the_float_range_or_beside_a_non_number_is_rejected(data, message):
+    with pytest.raises(ValueError) as raised:
+        class_function_from_json({"group": "Z2", "basis": "coefficients", "data": data})
+    assert str(raised.value) == message
+
+
 def test_file_round_trip(tmp_path, v4_table):
     f = from_coefficients(v4_table, np.array([0.5, 0.5, 0.5, 0.5]))
     path = tmp_path / "f.json"

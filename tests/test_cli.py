@@ -487,26 +487,35 @@ def _src_env() -> dict[str, str]:
 
 
 #: Runs chars, construct and check in one fresh interpreter, then prints the
-#: exit codes and which of two slow-to-import numpy modules got loaded.
+#: exit codes and which of two slow-to-import numpy modules got loaded; then
+#: the same after search and verify-paper, whose seeded draws need numpy.random.
 _COLD_RUN = """
 import contextlib, io, sys
 from bentgroups.cli import _build_parser, main
+def loaded():
+    return [name for name in ("numpy.random", "numpy.ma") if name in sys.modules]
 path = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["chars", "Z64"]), main(["construct", "zadoff-chu", "64", "5", "-o", path]),
              main(["check", path])]
-print(codes, [name for name in ("numpy.random", "numpy.ma") if name in sys.modules])
+print(codes, loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["search", "--group", "S3", "--budget", "500"]),
+             main(["verify-paper", "--budget", "2000"])]
+print(codes, loaded())
 """
 
 
 def test_cold_commands_leave_numpy_random_and_ma_unimported(tmp_path):
-    """Their first import costs a fresh process tens of milliseconds."""
+    """Their first import costs a fresh process tens of milliseconds; the
+    search histogram's deciles need no ``np.quantile``, whose ``np.unique``
+    imports ``numpy.ma``."""
     result = subprocess.run(
         [sys.executable, "-c", _COLD_RUN, str(tmp_path / "z64.json")],
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0] []\n"
+    assert result.stdout == "[0, 0, 0] []\n[0, 0] ['numpy.random']\n"
 
 
 #: Runs construct, check and chars (JSON and CSV) in one fresh interpreter,
@@ -739,6 +748,49 @@ def test_cold_fft_sized_commands_never_build_character_values(tmp_path):
         "0 [(512,)] ['Z512'] True\n"
         "[(512,), (469,)] ['Z512', 'Z469']\n"
     )
+
+
+#: Runs construct on Z40 and the check of its file, then the checks of a bent
+#: coefficient file on Z2xZ20, a product of Zadoff-Chu functions on its
+#: factors, and of its pointwise values, in one fresh interpreter; prints the
+#: exit codes and the factor tuples whose element names and inverses got
+#: built.  Then prints the same after ``chars Z2xZ20``, with its class labels.
+_NAME_FREE_RUN = """
+import contextlib, io, json, math, sys
+from pathlib import Path
+import numpy as np
+from bentgroups import groups, zadoff_chu
+from bentgroups.cli import main
+named, name = [], groups._abelian_names
+groups._abelian_names = lambda factors: named.append(factors) or name(factors)
+inverted, invert = [], groups._abelian_inverses
+groups._abelian_inverses = lambda factors: inverted.append(factors) or invert(factors)
+constructed, coefficients, pointwise = sys.argv[1:]
+a = np.kron(zadoff_chu(2, 1) / math.sqrt(2), zadoff_chu(20, 1) / math.sqrt(20))
+values = np.kron(zadoff_chu(2, 1), zadoff_chu(20, 1))  # the values of a
+for path, basis, data in ((coefficients, "coefficients", a), (pointwise, "pointwise", values)):
+    pairs = data.view(float).reshape(-1, 2).tolist()
+    Path(path).write_text(json.dumps({"group": "Z2xZ20", "basis": basis, "data": pairs}))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["construct", "zadoff-chu", "40", "3", "-o", constructed])]
+    codes += [main(["check", path]) for path in (constructed, coefficients, pointwise)]
+print(codes, named, inverted)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["chars", "Z2xZ20"])
+print(code, named, inverted, json.loads(out.getvalue())["class_labels"])
+"""
+
+
+def test_cold_commands_build_element_names_and_inverses_only_for_chars(tmp_path):
+    paths = [str(tmp_path / name) for name in ("z40.json", "c.json", "p.json")]
+    result = subprocess.run(
+        [sys.executable, "-c", _NAME_FREE_RUN, *paths],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    labels = [f"({a},{b})" for a in range(2) for b in range(20)]
+    assert result.stdout == f"[0, 0, 0, 0] [] []\n0 [(2, 20)] [] {labels}\n"
 
 
 #: (command, global flags); "{out}" is replaced by an output path and "{in}"

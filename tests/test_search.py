@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,20 +253,56 @@ def test_batch_scorer_bit_identical_to_axis_max_form(label):
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
-def test_histogram_bit_identical_to_unsorted_quantiles(monkeypatch, strategy):
-    quantiles = []
-
-    class UnsortedQuantiles(search_module._Transcript):
-        def histogram(self):
-            values = np.concatenate([*self.batch_values, np.asarray(self.probe_values)])
-            assert len(values) == self.evaluations and np.any(np.diff(values) < 0)
-            quantiles.append(np.quantile(values, np.linspace(0, 1, 11)))
-            return super().histogram()
-
-    monkeypatch.setattr(search_module, "_Transcript", UnsortedQuantiles)
+def test_histogram_bit_identical_to_unsorted_quantiles(strategy):
     result = run_search(SearchConfig(group="S3", budget=100_000, seed=0, strategy=strategy))
-    assert len(quantiles) == 1
-    assert np.array(result.histogram).tobytes() == quantiles[0].tobytes()
+    values = result._objectives
+    assert len(values) == result.evaluations and np.any(np.diff(values) < 0)
+    assert "histogram" not in vars(result)  # computed when first read
+    quantiles = np.quantile(values, np.linspace(0, 1, 11))
+    assert np.array(result.histogram).tobytes() == quantiles.tobytes()
+    assert result.histogram is result.histogram
+
+
+def sorted_samples(rng) -> list[np.ndarray]:
+    """Sorted arrays of lengths 1 to 5,000: spread and tied values, some with
+    infinities, some with one NaN or with several, each set of one sign."""
+    samples = []
+    for k in range(600):
+        n = int(rng.integers(1, 5_000 if k % 3 else 30))
+        values = rng.random(n) * 10.0 ** int(rng.integers(-20, 20))
+        if k % 6 == 1:
+            values = np.round(values * 4) / 4  # ties
+        if k % 6 == 2:
+            values[rng.integers(0, n, size=1 + n // 10)] = rng.choice([math.inf, -math.inf])
+        if k % 6 == 3:
+            values[rng.integers(0, n)] = math.nan
+        if k % 6 == 4:
+            values[rng.integers(0, n, size=1 + n // 20)] = rng.choice([math.nan, -math.nan])
+        if k % 6 == 5:
+            values = rng.standard_normal(n) * 1e300
+        samples.append(np.sort(values))
+    return samples + [np.array([x]) for x in (0.0, -0.0, math.inf, -math.inf, math.nan)]
+
+
+def test_deciles_are_the_bits_of_np_quantile():
+    """``_deciles`` is numpy's linear method on sorted values; infinities give
+    the NaNs and warnings of its interpolation, and a NaN makes every decile NaN."""
+    quantiles = np.linspace(0, 1, 11)
+    nan_samples = 0
+    for values in sorted_samples(np.random.default_rng(37)):
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = np.quantile(values, quantiles)
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = search_module._deciles(values)
+        assert type(got) is tuple and len(got) == 11
+        assert np.array(got).tobytes() == want.tobytes(), values
+        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+        if np.isnan(values).any():
+            nan_samples += 1
+            assert all(map(math.isnan, got))
+    assert nan_samples > 100
 
 
 @pytest.mark.parametrize("label", ORACLE_GROUPS)
